@@ -22,19 +22,13 @@ from .evalharness import (
     EvalConfig,
     Layout,
     SceneRecipe,
+    answer,
     generate_queries,
     generate_scene,
     run_eval,
 )
 from .oracle import OracleConfig, derive_edges, interpret_query
-from .parsing import UnparseableResponse, parse_response, validate_grounding
-from .prompts import (
-    DEFAULT_TOKEN_BUDGET,
-    BudgetInfeasible,
-    build_prompt,
-    estimate_tokens,
-    select_examples,
-)
+from .prompts import BudgetInfeasible, build_prompt, estimate_tokens, select_examples
 from .scene_model import SceneError, SceneGraph, parse_scene, scene_issues, serialize_scene
 
 EXIT_OK = 0
@@ -47,34 +41,29 @@ DEFAULT_CONFIG_PATH = "scenequery.json"
 
 @dataclass
 class CliConfig:
-    oracle: OracleConfig = field(default_factory=OracleConfig)
-    llm: llm_mod.LlmConfig = field(default_factory=llm_mod.LlmConfig)
-    budget: int = DEFAULT_TOKEN_BUDGET
-    strict_parse: bool = False
+    eval: EvalConfig = field(default_factory=EvalConfig)
     output_format: str = "text"
 
 
 def load_config(path: Optional[str], args: argparse.Namespace) -> CliConfig:
     """Merge config file, environment and flags (flag > env > file > default)."""
-    cfg = CliConfig()
+    fields: dict = {}
     config_path = path or (DEFAULT_CONFIG_PATH if os.path.exists(DEFAULT_CONFIG_PATH) else None)
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if "oracle" in raw:
-            cfg.oracle = OracleConfig(**raw["oracle"])
+            fields["oracle"] = OracleConfig(**raw["oracle"])
         if "llm" in raw:
-            cfg.llm = llm_mod.LlmConfig(**raw["llm"])
-        cfg.budget = raw.get("budget", cfg.budget)
-        cfg.strict_parse = raw.get("strict_parse", cfg.strict_parse)
+            fields["llm"] = llm_mod.LlmConfig(**raw["llm"])
+        fields.update((key, raw[key]) for key in ("budget", "strict_parse") if key in raw)
 
     if getattr(args, "budget", None):
-        cfg.budget = args.budget
+        fields["budget"] = args.budget
     if getattr(args, "strict", False):
-        cfg.strict_parse = True
-    if getattr(args, "format", None):
-        cfg.output_format = args.format
-    if cfg.budget <= 0:
+        fields["strict_parse"] = True
+    cfg = CliConfig(eval=EvalConfig(**fields), output_format=getattr(args, "format", None) or "text")
+    if cfg.eval.budget <= 0:
         raise ValueError("token budget must be positive")
     return cfg
 
@@ -132,7 +121,7 @@ def cmd_describe(args: argparse.Namespace, cfg: CliConfig) -> int:
     ]
     payload: dict = {"nodes": node_rows}
     if args.relations:
-        edges = derive_edges(scene, cfg.oracle)
+        edges = derive_edges(scene, cfg.eval.oracle)
         payload["edges"] = [[s, rel.value, o] for s, rel, o in edges]
         lines.append("")
         lines.append("relations:")
@@ -145,7 +134,7 @@ def cmd_describe(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 def _make_backend(kind: str, scene: SceneGraph, cfg: CliConfig, mock_script_path: Optional[str]):
     if kind == "oracle":
-        return llm_mod.OracleMockBackend(scene, cfg.oracle)
+        return llm_mod.OracleMockBackend(scene, cfg.eval.oracle)
     if kind == "mock":
         if not mock_script_path:
             print("error: --backend mock requires --mock-script", file=sys.stderr)
@@ -153,24 +142,25 @@ def _make_backend(kind: str, scene: SceneGraph, cfg: CliConfig, mock_script_path
         with open(mock_script_path, encoding="utf-8") as fh:
             script = json.load(fh)
         return llm_mod.MockBackend(script)
-    return llm_mod.HttpBackend(cfg.llm)
+    return llm_mod.HttpBackend(cfg.eval.llm)
 
 
 def _run_ask(scene: SceneGraph, query: str, backend, cfg: CliConfig) -> int:
-    structured = interpret_query(scene, query)
-    bundle = build_prompt(scene, query, select_examples(structured.category), budget=cfg.budget)
+    """Answer one query, print the result and return its exit code."""
     try:
-        raw = llm_mod.complete(bundle, cfg.llm, backend=backend, user_text=query)
+        result = answer(scene, query, interpret_query(scene, query).category, backend, cfg.eval)
     except llm_mod.LlmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        parsed = parse_response(raw, strict=cfg.strict_parse)
-    except UnparseableResponse as exc:
-        print(f"error: unparseable response: {exc}", file=sys.stderr)
-        print(exc.raw, file=sys.stderr)
+    except BudgetInfeasible as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    parsed, issues = result.parsed, result.issues
+    if parsed is None:
+        print(f"error: unparseable response: {result.error}", file=sys.stderr)
+        if result.raw:
+            print(result.raw, file=sys.stderr)
         return EXIT_PARSE
-    issues = validate_grounding(parsed, scene)
 
     if cfg.output_format == "json":
         print(
@@ -183,7 +173,7 @@ def _run_ask(scene: SceneGraph, query: str, backend, cfg: CliConfig) -> int:
                     "final_object_tag": parsed.final_object_tag,
                     "final_object_id": parsed.final_object_id,
                     "explanation": parsed.explanation,
-                    "grounding_issues": [f"{i.kind.value}: {i.detail}" for i in issues],
+                    "grounding_issues": [str(i) for i in issues],
                 },
                 indent=2,
                 sort_keys=True,
@@ -197,18 +187,14 @@ def _run_ask(scene: SceneGraph, query: str, backend, cfg: CliConfig) -> int:
         if issues:
             print("grounding issues:")
             for issue in issues:
-                print(f"  {issue.kind.value}: {issue.detail}")
+                print(f"  {issue}")
     return EXIT_OK if not issues else EXIT_INVALID
 
 
 def cmd_ask(args: argparse.Namespace, cfg: CliConfig) -> int:
     scene = _read_scene(args.scene)
     backend = _make_backend(args.backend, scene, cfg, args.mock_script)
-    try:
-        return _run_ask(scene, args.query, backend, cfg)
-    except BudgetInfeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    return _run_ask(scene, args.query, backend, cfg)
 
 
 def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
@@ -225,11 +211,7 @@ def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
             backend_kind = "oracle" if query.endswith("on") else args.backend
             print(f"backend: {backend_kind}")
             continue
-        backend = _make_backend(backend_kind, scene, cfg, args.mock_script)
-        try:
-            _run_ask(scene, query, backend, cfg)
-        except (BudgetInfeasible, llm_mod.LlmError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        _run_ask(scene, query, _make_backend(backend_kind, scene, cfg, args.mock_script), cfg)
     return EXIT_OK
 
 
@@ -237,14 +219,10 @@ def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
     tasks = []
     for seed in range(args.seed, args.seed + args.scenes):
         gen = generate_scene(SceneRecipe(seed=seed, node_count=args.nodes, layout=Layout(args.layout)))
-        tasks.append((gen, generate_queries(gen, cfg.oracle)))
+        tasks.append((gen, generate_queries(gen, cfg.eval.oracle)))
 
     backend = "oracle" if args.backend == "oracle" else _make_backend(args.backend, tasks[0][0].scene, cfg, args.mock_script)
-    report = run_eval(
-        tasks,
-        backend=backend,
-        cfg=EvalConfig(budget=cfg.budget, oracle=cfg.oracle, llm=cfg.llm, strict_parse=cfg.strict_parse),
-    )
+    report = run_eval(tasks, backend=backend, cfg=cfg.eval)
 
     if args.out:
         out_dir = Path(args.out)
@@ -265,20 +243,20 @@ def cmd_compact(args: argparse.Namespace, cfg: CliConfig) -> int:
     examples = select_examples(interpret_query(scene, query).category)
     before = estimate_tokens(serialize_scene(scene))
     try:
-        bundle = build_prompt(scene, query, examples, budget=cfg.budget)
+        bundle = build_prompt(scene, query, examples, budget=cfg.eval.budget)
     except BudgetInfeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     payload = {
         "scene_estimate_before": before,
         "prompt_estimate_after": bundle.token_estimate,
-        "budget": cfg.budget,
+        "budget": cfg.eval.budget,
         "included_nodes": len(bundle.included_node_ids),
         "actions": list(bundle.compaction_report),
     }
     lines = [
         f"scene estimate before : {before} tokens",
-        f"prompt estimate after : {bundle.token_estimate} tokens (budget {cfg.budget})",
+        f"prompt estimate after : {bundle.token_estimate} tokens (budget {cfg.eval.budget})",
         f"included nodes        : {len(bundle.included_node_ids)} of {len(scene.nodes)}",
         "actions:",
     ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -26,7 +27,7 @@ from .oracle import (
     relative_position,
     size_compare,
 )
-from .parsing import UnparseableResponse, parse_response, validate_grounding
+from .parsing import GroundingIssue, ParsedResponse, UnparseableResponse, parse_response, validate_grounding
 from .prompts import DEFAULT_TOKEN_BUDGET, build_prompt, select_examples
 from .scene_model import ObjectNode, SceneGraph, Vec3
 
@@ -320,6 +321,17 @@ class EvalRecord:
     issues: tuple[str, ...] = ()
 
 
+def _record_keys(r: EvalRecord) -> dict:
+    """The keys that report.json and records.jsonl both carry for a record."""
+    return {
+        "seed": r.seed,
+        "category": r.category.value,
+        "query": r.query_text,
+        "verdict": r.verdict,
+        "issues": list(r.issues),
+    }
+
+
 @dataclass(frozen=True)
 class EvalReport:
     records: tuple[EvalRecord, ...]
@@ -343,36 +355,16 @@ class EvalReport:
             "total": len(self.records),
             "per_category": self.counts(),
             "records": [
-                {
-                    "seed": r.seed,
-                    "category": r.category.value,
-                    "query": r.query_text,
-                    "verdict": r.verdict,
-                    "final_object_id": r.final_object_id,
-                    "final_object_tag": r.final_object_tag,
-                    "issues": list(r.issues),
-                }
+                {**_record_keys(r), "final_object_id": r.final_object_id, "final_object_tag": r.final_object_tag}
                 for r in self.records
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_jsonl(self) -> str:
-        lines = []
-        for r in self.records:
-            lines.append(
-                json.dumps(
-                    {
-                        "seed": r.seed,
-                        "category": r.category.value,
-                        "query": r.query_text,
-                        "verdict": r.verdict,
-                        "raw_response": r.raw_response,
-                        "issues": list(r.issues),
-                    },
-                    sort_keys=True,
-                )
-            )
+        lines = [
+            json.dumps({**_record_keys(r), "raw_response": r.raw_response}, sort_keys=True) for r in self.records
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_text(self) -> str:
@@ -389,13 +381,46 @@ class EvalReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class Answer:
+    """One query taken through the pipeline.
+
+    `parsed` is None when the reply could not be parsed, and `error`
+    then gives the reason. `raw` is "" for a reply that is not text.
+    """
+
+    raw: str
+    parsed: Optional[ParsedResponse]
+    error: str = ""
+    issues: tuple[GroundingIssue, ...] = ()
+
+
+def answer(
+    scene: SceneGraph, query: str, category: QueryCategory, backend: llm_mod.Backend, cfg: EvalConfig
+) -> Answer:
+    """Build the prompt, complete it, parse the reply and check its grounding.
+
+    An unparseable reply is returned as data. Backend errors (LlmError)
+    and BudgetInfeasible propagate.
+    """
+    bundle = build_prompt(scene, query, select_examples(category), budget=cfg.budget)
+    reply = llm_mod.complete(bundle, cfg.llm, backend=backend, user_text=query)
+    try:
+        parsed = parse_response(reply, strict=cfg.strict_parse)
+    except UnparseableResponse as exc:
+        return Answer(raw=exc.raw, parsed=None, error=str(exc))
+    return Answer(raw=reply, parsed=parsed, issues=tuple(validate_grounding(parsed, scene)))
+
+
+_WORD = re.compile(r"[a-z]+")
+
+
 def _verdict_from_text(text: str) -> Optional[bool]:
-    stripped = text.strip().lower()
-    if stripped.startswith("yes"):
-        return True
-    if stripped.startswith("no"):
-        return False
-    words = stripped.replace(",", " ").replace(".", " ").split()
+    """Yes/no from whole words: a leading yes or no decides; otherwise
+    any yes means True, any no or not means False, and neither None."""
+    words = _WORD.findall(text.lower())
+    if words and words[0] in ("yes", "no"):
+        return words[0] == "yes"
     if "yes" in words:
         return True
     if "no" in words or "not" in words:
@@ -403,27 +428,23 @@ def _verdict_from_text(text: str) -> Optional[bool]:
     return None
 
 
-def score(query: GroundTruthQuery, resp_text: str, scene: SceneGraph, strict: bool = False) -> tuple[str, object, tuple[str, ...]]:
-    """(verdict, parsed-or-None, issue strings) for one response."""
-    try:
-        parsed = parse_response(resp_text, strict=strict)
-    except UnparseableResponse:
-        return "unparseable", None, ()
-    issues = validate_grounding(parsed, scene)
-    if issues:
-        return "ungrounded", parsed, tuple(f"{i.kind.value}: {i.detail}" for i in issues)
+def score(query: GroundTruthQuery, ans: Answer) -> str:
+    """The verdict on one answer to one query."""
+    if ans.parsed is None:
+        return "unparseable"
+    if ans.issues:
+        return "ungrounded"
 
+    parsed = ans.parsed
     if query.expected_bool is not None:
         got = _verdict_from_text(parsed.final_text)
-        verdict = "correct" if got == query.expected_bool else "incorrect"
-    elif query.expected_object_ids:
-        verdict = "correct" if parsed.final_object_id in query.expected_object_ids else "incorrect"
-    elif query.expected_keywords:
+        return "correct" if got == query.expected_bool else "incorrect"
+    if query.expected_object_ids:
+        return "correct" if parsed.final_object_id in query.expected_object_ids else "incorrect"
+    if query.expected_keywords:
         lowered = parsed.final_text.lower()
-        verdict = "correct" if all(k.lower() in lowered for k in query.expected_keywords) else "incorrect"
-    else:
-        verdict = "incorrect"
-    return verdict, parsed, ()
+        return "correct" if all(k.lower() in lowered for k in query.expected_keywords) else "incorrect"
+    return "incorrect"
 
 
 def run_eval(
@@ -431,31 +452,26 @@ def run_eval(
     backend: str | llm_mod.Backend = "oracle",
     cfg: EvalConfig = EvalConfig(),
 ) -> EvalReport:
-    """Full pipeline per query: build prompt, complete, parse, ground,
-    compare. Per-record failures are folded into the report; only
-    configuration problems abort the run."""
+    """`answer` then `score` for every query. The string "oracle" means an
+    OracleMockBackend on each task's scene. Per-record failures are
+    folded into the report; only configuration problems abort the run."""
+    if isinstance(backend, str) and backend != "oracle":
+        raise ValueError(f"unknown backend {backend!r}")
     records: list[EvalRecord] = []
     for gen, queries in tasks:
-        scene = gen.scene
+        scene_backend = llm_mod.OracleMockBackend(gen.scene, cfg.oracle) if isinstance(backend, str) else backend
         for q in queries:
-            bundle = build_prompt(scene, q.query_text, select_examples(q.category), budget=cfg.budget)
-            if backend == "oracle":
-                resp_text = llm_mod.oracle_backed_mock(scene, q.structured, cfg.oracle)
-            elif isinstance(backend, str):
-                raise ValueError(f"unknown backend {backend!r}")
-            else:
-                resp_text = llm_mod.complete(bundle, cfg.llm, backend=backend, user_text=q.query_text)
-            verdict, parsed, issues = score(q, resp_text, scene, strict=cfg.strict_parse)
+            ans = answer(gen.scene, q.query_text, q.category, scene_backend, cfg)
             records.append(
                 EvalRecord(
                     seed=gen.recipe.seed,
                     category=q.category,
                     query_text=q.query_text,
-                    verdict=verdict,
-                    final_object_id=getattr(parsed, "final_object_id", None),
-                    final_object_tag=getattr(parsed, "final_object_tag", ""),
-                    raw_response=resp_text,
-                    issues=issues,
+                    verdict=score(q, ans),
+                    final_object_id=ans.parsed.final_object_id if ans.parsed else None,
+                    final_object_tag=ans.parsed.final_object_tag if ans.parsed else "",
+                    raw_response=ans.raw,
+                    issues=tuple(str(i) for i in ans.issues),
                 )
             )
     return EvalReport(records=tuple(records))

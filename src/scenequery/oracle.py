@@ -22,7 +22,6 @@ class SpatialRelation(str, Enum):
     ABOVE = "Above"
     BELOW = "Below"
     NEAR = "Near"
-    OVERLAPPING = "Overlapping"
     POSITIVE_X = "PositiveX"
     NEGATIVE_X = "NegativeX"
     POSITIVE_Y = "PositiveY"

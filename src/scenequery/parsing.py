@@ -31,6 +31,9 @@ class GroundingIssue:
     detail: str
     step: int = 0
 
+    def __str__(self) -> str:
+        return f"{self.kind.value}: {self.detail}"
+
 
 class UnparseableResponse(ValueError):
     """No step structure found at all. Carries the raw text for logging."""
@@ -127,8 +130,11 @@ def parse_response(text: str, strict: bool = False) -> ParsedResponse:
     Lenient mode records soft problems (missing steps, absent final
     JSON) as notes instead of failing; strict mode turns them into
     UnparseableResponse. A text with no recognizable step headers is
-    always UnparseableResponse.
+    always UnparseableResponse, and so is a reply that is not a string
+    at all (an endpoint's null content, say), whose `raw` is then "".
     """
+    if not isinstance(text, str):
+        raise UnparseableResponse("", f"response is {type(text).__name__}, not text")
     sections = _split_steps(text)
     if not sections:
         raise UnparseableResponse(text)

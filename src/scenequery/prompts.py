@@ -75,15 +75,8 @@ def _load_builtin_examples() -> list[InContextExample]:
 class ExampleLibrary:
     """Built-in demonstrations plus user-registered ones per category."""
 
-    def __init__(self, path: Optional[str] = None):
-        if path is None:
-            self._builtins = _load_builtin_examples()
-        else:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            self._builtins = [
-                InContextExample(e["question"], e["answer"], QueryCategory(e["category"])) for e in raw
-            ]
+    def __init__(self):
+        self._builtins = _load_builtin_examples()
         self._custom: list[InContextExample] = []
 
     def register(self, example: InContextExample) -> None:
@@ -210,15 +203,13 @@ def build_prompt(
     query: str,
     examples: list[InContextExample],
     budget: int = DEFAULT_TOKEN_BUDGET,
-    template: Optional[str] = None,
 ) -> PromptBundle:
     """Fill the system template, compacting the scene if needed.
 
     The returned bundle is always within budget; otherwise
     BudgetInfeasible is raised.
     """
-    if template is None:
-        template = load_template()
+    template = load_template()
     examples_text = render_examples(examples)
     overhead = estimate_tokens(render_template(template, "", examples_text, query))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 # JSON keys, in canonical output order.
 NODE_KEYS = ("id", "bbox_extent", "bbox_center", "object_tag", "caption", "color", "material")
@@ -56,15 +56,6 @@ class Aabb:
     min: Vec3
     max: Vec3
 
-    def footprint_overlaps(self, other: "Aabb") -> bool:
-        """True if the xy projections intersect (touching counts)."""
-        return (
-            self.min.x <= other.max.x
-            and other.min.x <= self.max.x
-            and self.min.y <= other.max.y
-            and other.min.y <= self.max.y
-        )
-
 
 @dataclass(frozen=True)
 class ObjectNode:
@@ -85,7 +76,6 @@ class ObjectNode:
 @dataclass(frozen=True)
 class SceneGraph:
     nodes: tuple[ObjectNode, ...]
-    edges: tuple[tuple[int, str, int], ...] = ()
 
     def __post_init__(self):
         ids = [n.id for n in self.nodes]
@@ -95,10 +85,6 @@ class SceneGraph:
                 if i in seen:
                     raise SceneError(f"duplicate node id {i}")
                 seen.add(i)
-        known = set(ids)
-        for subj, _rel, obj in self.edges:
-            if subj not in known or obj not in known:
-                raise SceneError(f"edge ({subj}, {obj}) references unknown node id")
 
     def node(self, node_id: int) -> ObjectNode:
         for n in self.nodes:
@@ -109,10 +95,6 @@ class SceneGraph:
     def has_node(self, node_id: int) -> bool:
         return any(n.id == node_id for n in self.nodes)
 
-    @property
-    def ids(self) -> list[int]:
-        return [n.id for n in self.nodes]
-
 
 @dataclass(frozen=True)
 class SerializeOptions:
@@ -120,12 +102,10 @@ class SerializeOptions:
 
     precision: decimal places for bbox numbers (None = exact repr).
     omit: field names left out of the output entirely.
-    indent: passed through to json.dumps.
     """
 
     precision: int | None = 1
     omit: frozenset[str] = frozenset()
-    indent: int | None = None
 
 
 def _parse_vec3(value: Any, index: int, field_name: str) -> Vec3:
@@ -184,12 +164,11 @@ def _parse_node(obj: Any, index: int) -> ObjectNode:
     )
 
 
-def parse_scene(json_text: str) -> SceneGraph:
-    """Parse scene JSON into a SceneGraph.
+def _read_nodes(json_text: str) -> tuple[int, list[ObjectNode], list[SceneError]]:
+    """(array length, valid nodes, node issues in input order).
 
-    Input must be a top-level array of node objects. Any structural
-    problem raises SceneError naming the offending node and field;
-    a partial scene is never returned.
+    A bad node or a repeated id is an issue and the scan goes on; JSON
+    that is malformed or not an array raises SceneError.
     """
     try:
         data = json.loads(json_text)
@@ -198,14 +177,32 @@ def parse_scene(json_text: str) -> SceneGraph:
     if not isinstance(data, list):
         raise SceneError("top-level value must be an array")
 
-    nodes = []
+    nodes: list[ObjectNode] = []
+    issues: list[SceneError] = []
     seen: set[int] = set()
     for index, obj in enumerate(data):
-        node = _parse_node(obj, index)
+        try:
+            node = _parse_node(obj, index)
+        except SceneError as exc:
+            issues.append(exc)
+            continue
         if node.id in seen:
-            raise SceneError(f"duplicate id {node.id}", index, "id")
+            issues.append(SceneError(f"duplicate id {node.id}", index, "id"))
         seen.add(node.id)
         nodes.append(node)
+    return len(data), nodes, issues
+
+
+def parse_scene(json_text: str) -> SceneGraph:
+    """Parse scene JSON into a SceneGraph.
+
+    Input must be a top-level array of node objects. Any structural
+    problem raises SceneError naming the offending node and field;
+    a partial scene is never returned.
+    """
+    _, nodes, issues = _read_nodes(json_text)
+    if issues:
+        raise issues[0]
     return SceneGraph(nodes=tuple(nodes))
 
 
@@ -236,16 +233,12 @@ def node_to_dict(node: ObjectNode, opts: SerializeOptions = SerializeOptions()) 
 def serialize_scene(scene: SceneGraph, opts: SerializeOptions = SerializeOptions()) -> str:
     """Serialize to the canonical JSON array, keys in fixed order."""
     payload = [node_to_dict(n, opts) for n in scene.nodes]
-    return json.dumps(payload, indent=opts.indent)
+    return json.dumps(payload)
 
 
 def aabb_of(node: ObjectNode) -> Aabb:
     half = node.bbox_extent.scaled(0.5)
     return Aabb(min=node.bbox_center - half, max=node.bbox_center + half)
-
-
-def scene_from_nodes(nodes: Iterable[ObjectNode]) -> SceneGraph:
-    return SceneGraph(nodes=tuple(nodes))
 
 
 def scene_issues(json_text: str) -> tuple[int, list[SceneError]]:
@@ -255,21 +248,7 @@ def scene_issues(json_text: str) -> tuple[int, list[SceneError]]:
     validation report can list every problem at once.
     """
     try:
-        data = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        return 0, [SceneError(f"malformed JSON: {exc}")]
-    if not isinstance(data, list):
-        return 0, [SceneError("top-level value must be an array")]
-
-    issues: list[SceneError] = []
-    seen: set[int] = set()
-    for index, obj in enumerate(data):
-        try:
-            node = _parse_node(obj, index)
-        except SceneError as exc:
-            issues.append(exc)
-            continue
-        if node.id in seen:
-            issues.append(SceneError(f"duplicate id {node.id}", index, "id"))
-        seen.add(node.id)
-    return len(data), issues
+        count, _, issues = _read_nodes(json_text)
+    except SceneError as exc:
+        return 0, [exc]
+    return count, issues

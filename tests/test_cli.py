@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from scenequery.cli import main
+from scenequery.evalharness import EvalConfig, answer
+from scenequery.llm import OracleMockBackend
+from scenequery.oracle import interpret_query
+from scenequery.scene_model import parse_scene
 from conftest import SAMPLE_SCENE_JSON
 
 
@@ -92,6 +97,29 @@ class TestAsk:
             ["ask", couch_pillow_file, "anything", "--backend", "mock", "--mock-script", str(script)]
         )
         assert code == 3
+
+    def test_null_reply_exits_3_with_one_line_error(self, couch_pillow_file, tmp_path, capsys):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([None]), encoding="utf-8")
+        code = main(["ask", couch_pillow_file, "anything", "--backend", "mock", "--mock-script", str(script)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: unparseable response")
+
+    def test_infeasible_budget_exits_1(self, couch_pillow_file, capsys):
+        assert main(["--budget", "10", "ask", couch_pillow_file, "where is the pillow?"]) == 1
+        assert "budget" in capsys.readouterr().err
+
+    def test_json_matches_answer(self, couch_pillow_file, capsys):
+        query = "Which is bigger, the pillow or the white couch?"
+        assert main(["--format", "json", "ask", couch_pillow_file, query]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        scene = parse_scene(Path(couch_pillow_file).read_text(encoding="utf-8"))
+        result = answer(
+            scene, query, interpret_query(scene, query).category, OracleMockBackend(scene), EvalConfig()
+        )
+        assert payload["final_object_id"] == result.parsed.final_object_id == 28
+        assert payload["final_text"] == result.parsed.final_text
 
     def test_live_without_key_exits_2(self, couch_pillow_file, monkeypatch):
         monkeypatch.delenv("SCENEGPT_API_KEY", raising=False)

@@ -3,14 +3,16 @@ import json
 import pytest
 
 from scenequery.evalharness import (
+    EvalReport,
     Layout,
     SceneRecipe,
+    _verdict_from_text,
     generate_queries,
     generate_scene,
     load_lexicon,
     run_eval,
 )
-from scenequery.llm import MockBackend
+from scenequery.llm import MockBackend, OracleMockBackend
 from scenequery.oracle import (
     DECIDABLE_CATEGORIES,
     QueryCategory,
@@ -152,6 +154,23 @@ class TestRunEval:
         b = run_eval(tasks_for(range(3)), backend="oracle").to_json()
         assert a == b
 
+    def test_null_reply_counts_unparseable(self):
+        tasks = tasks_for([0])
+        backend = MockBackend([None], fallback="complete nonsense with no steps")
+        report = run_eval(tasks, backend=backend)
+        first = report.records[0]
+        assert first.verdict == "unparseable"
+        assert first.raw_response == ""
+        assert json.loads(report.to_jsonl().splitlines()[0])["raw_response"] == ""
+
+    @pytest.mark.parametrize("layout", list(Layout))
+    def test_oracle_string_is_a_per_scene_oracle_backend(self, layout):
+        tasks = tasks_for(range(4), layout=layout)
+        records = []
+        for gen, queries in tasks:
+            records += run_eval([(gen, queries)], backend=OracleMockBackend(gen.scene)).records
+        assert run_eval(tasks, backend="oracle").to_json() == EvalReport(records=tuple(records)).to_json()
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             run_eval(tasks_for([0]), backend="nonsense")
@@ -166,3 +185,16 @@ class TestRunEval:
         report = run_eval(tasks_for([0]), backend="oracle")
         text = report.to_text()
         assert f"total queries: {len(report.records)}" in text
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("Now, yes it is.", True),
+        ("Nothing fits.", None),
+        ("No, it is not.", False),
+        ("Yes!", True),
+    ],
+)
+def test_verdict_from_text_matches_whole_words(text, expected):
+    assert _verdict_from_text(text) is expected

@@ -102,6 +102,10 @@ class TestParseResponse:
         for text in corpus:
             parsed = parse_response(text)
             assert isinstance(parsed, ParsedResponse)
+        # A null content field reaches the parser as None.
+        with pytest.raises(UnparseableResponse) as exc:
+            parse_response(None)
+        assert exc.value.raw == ""
 
 
 class TestExtractJsonBlock:
