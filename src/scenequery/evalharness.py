@@ -9,6 +9,7 @@ package.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -76,14 +77,23 @@ class GroundTruthQuery:
 
 
 def load_lexicon(path: Optional[str] = None) -> dict[str, dict]:
-    """tag -> {affordances: [...], properties: [...]}."""
+    """tag -> {affordances: [...], properties: [...]}, a fresh dict per call."""
     if path is None:
-        text = resources.files("scenequery.data").joinpath("lexicon.json").read_text(encoding="utf-8")
+        entries = _packaged_lexicon_entries()
     else:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    entries = json.loads(text)
-    return {e["tag"]: {"affordances": e.get("affordances", []), "properties": e.get("properties", [])} for e in entries}
+            entries = json.loads(fh.read())
+    return {
+        e["tag"]: {"affordances": list(e.get("affordances", [])), "properties": list(e.get("properties", []))}
+        for e in entries
+    }
+
+
+@functools.cache
+def _packaged_lexicon_entries() -> list[dict]:
+    # Parsed once per process; load_lexicon copies out of it, so callers
+    # never share these lists.
+    return json.loads(resources.files("scenequery.data").joinpath("lexicon.json").read_text(encoding="utf-8"))
 
 
 def _grid(rng: random.Random, lo_dm: int, hi_dm: int) -> float:

@@ -8,8 +8,10 @@ queries need world knowledge and are declared out of the oracle's reach.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -167,7 +169,9 @@ def size_compare(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig(
     vol_a, vol_b = a.volume(), b.volume()
     if vol_a > 0 and vol_b > 0:
         ratio = vol_a / vol_b
-        if max(ratio, 1.0 / ratio) <= cfg.similar_volume_ratio:
+        # max/min, not max(ratio, 1/ratio): the two roundings of the latter
+        # can put a pair inside the band one way round and outside the other.
+        if max(vol_a, vol_b) / min(vol_a, vol_b) <= cfg.similar_volume_ratio:
             return SizeComparison(SizeOrdering.SIMILAR, ratio)
         ordering = SizeOrdering.BIGGER if ratio > 1 else SizeOrdering.SMALLER
         return SizeComparison(ordering, ratio)
@@ -193,21 +197,70 @@ def near(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig()) -> bo
 
 
 def derive_edges(scene: SceneGraph, cfg: OracleConfig = OracleConfig()) -> list[tuple[int, SpatialRelation, int]]:
-    """Evaluate OnTopOf/Near over every ordered node pair.
+    """OnTopOf/Near edges over every ordered node pair.
+
+    Only candidate pairs reach `on_top_of` and `near`: a hash grid over
+    the centres finds the pairs that may be near, and a sweep over the
+    boxes in min-x order finds the pairs whose footprints may overlap.
+    Neither filter drops a pair its predicate would accept, so the
+    result equals testing every ordered pair.
 
     Output is sorted by (subject id, relation name, object id) so the
     edge list is stable for a given scene.
     """
-    edges: list[tuple[int, SpatialRelation, int]] = []
-    for a in scene.nodes:
-        for b in scene.nodes:
-            if a.id == b.id:
-                continue
-            if on_top_of(a, b, cfg):
-                edges.append((a.id, SpatialRelation.ON_TOP_OF, b.id))
-            if near(a, b, cfg):
-                edges.append((a.id, SpatialRelation.NEAR, b.id))
+    edges = _near_edges(scene.nodes, cfg) + _on_top_of_edges(scene.nodes, cfg)
     edges.sort(key=lambda e: (e[0], e[1].value, e[2]))
+    return edges
+
+
+_NEIGHBOUR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
+
+
+def _near_edges(nodes: tuple[ObjectNode, ...], cfg: OracleConfig) -> list[tuple[int, SpatialRelation, int]]:
+    # `near` accepts centres up to half a snapping step (5e-10) farther
+    # apart than the threshold, and rounding `c / cell` shifts a centre
+    # by up to 2**-53 * |c| in distance. A cell wider than the threshold
+    # by more than both keeps every near pair's centres in the same or
+    # adjacent cells on each axis.
+    reach = max((abs(c) for n in nodes for c in n.bbox_center), default=0.0)
+    cell = (cfg.near_threshold + 1e-9) * (1 + 2**-40) + reach * 2**-40
+    grid: dict[tuple[int, ...], list[ObjectNode]] = defaultdict(list)
+    keys = [tuple(math.floor(c / cell) for c in n.bbox_center) for n in nodes]
+    for node, key in zip(nodes, keys):
+        grid[key].append(node)
+    edges = []
+    for a, (i, j, k) in zip(nodes, keys):
+        for di, dj, dk in _NEIGHBOUR_CELLS:
+            for b in grid.get((i + di, j + dj, k + dk), ()):
+                if b.id != a.id and near(a, b, cfg):
+                    edges.append((a.id, SpatialRelation.NEAR, b.id))
+    return edges
+
+
+def _on_top_of_edges(nodes: tuple[ObjectNode, ...], cfg: OracleConfig) -> list[tuple[int, SpatialRelation, int]]:
+    # Sweep the boxes in min-x order. A box leaves the active list once
+    # the snapped x difference that `on_top_of` tests goes negative; that
+    # difference only falls as min x grows, so the box could overlap no
+    # later box either. The y overlap is prefiltered the same way. A
+    # difference >= 0 passes without snapping, as its snap is >= 0 too.
+    spans = []
+    for n in nodes:
+        box = aabb_of(n)
+        spans.append((box.min.x, box.max.x, box.min.y, box.max.y, n))
+    spans.sort(key=lambda span: span[0])
+    edges = []
+    active: list[tuple[float, float, float, float, ObjectNode]] = []
+    for span in spans:
+        min_x, _, min_y, max_y, a = span
+        active = [s for s in active if s[1] - min_x >= 0 or _snap(s[1] - min_x) >= 0]
+        for _, _, b_min_y, b_max_y, b in active:
+            dy_low, dy_high = b_max_y - min_y, max_y - b_min_y
+            if (dy_low >= 0 or _snap(dy_low) >= 0) and (dy_high >= 0 or _snap(dy_high) >= 0):
+                if on_top_of(a, b, cfg):
+                    edges.append((a.id, SpatialRelation.ON_TOP_OF, b.id))
+                if on_top_of(b, a, cfg):
+                    edges.append((b.id, SpatialRelation.ON_TOP_OF, a.id))
+        active.append(span)
     return edges
 
 

@@ -9,6 +9,7 @@ finally whole nodes in ascending lexical relevance to the query.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -62,6 +63,12 @@ def estimate_tokens(text: str) -> int:
 
 def load_template() -> str:
     return resources.files("scenequery.data").joinpath("system_prompt.txt").read_text(encoding="utf-8")
+
+
+@functools.cache
+def _packaged_template() -> str:
+    # The packaged file does not change while the process runs.
+    return load_template()
 
 
 def _load_builtin_examples() -> list[InContextExample]:
@@ -209,7 +216,7 @@ def build_prompt(
     The returned bundle is always within budget; otherwise
     BudgetInfeasible is raised.
     """
-    template = load_template()
+    template = _packaged_template()
     examples_text = render_examples(examples)
     overhead = estimate_tokens(render_template(template, "", examples_text, query))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 # JSON keys, in canonical output order.
@@ -76,24 +76,27 @@ class ObjectNode:
 @dataclass(frozen=True)
 class SceneGraph:
     nodes: tuple[ObjectNode, ...]
+    # id -> node, built from `nodes`; left out of equality, hash and repr.
+    _by_id: dict[int, ObjectNode] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [n.id for n in self.nodes]
-        if len(ids) != len(set(ids)):
+        by_id = {n.id: n for n in self.nodes}
+        if len(by_id) != len(self.nodes):
             seen: set[int] = set()
-            for i in ids:
-                if i in seen:
-                    raise SceneError(f"duplicate node id {i}")
-                seen.add(i)
+            for n in self.nodes:
+                if n.id in seen:
+                    raise SceneError(f"duplicate node id {n.id}")
+                seen.add(n.id)
+        object.__setattr__(self, "_by_id", by_id)
 
     def node(self, node_id: int) -> ObjectNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"no node with id {node_id}")
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise KeyError(f"no node with id {node_id}") from None
 
     def has_node(self, node_id: int) -> bool:
-        return any(n.id == node_id for n in self.nodes)
+        return node_id in self._by_id
 
 
 @dataclass(frozen=True)

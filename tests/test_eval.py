@@ -72,6 +72,16 @@ class TestGenerateScene:
         assert all(n.object_tag in lexicon for n in gen.scene.nodes)
 
 
+def test_load_lexicon_returns_a_fresh_copy():
+    before = load_lexicon()
+    mutated = load_lexicon()
+    tag = sorted(mutated)[0]
+    mutated[tag]["affordances"].append("juggling")
+    mutated[tag]["properties"].append("weightless")
+    del mutated[sorted(mutated)[-1]]
+    assert load_lexicon() == before
+
+
 class TestGenerateQueries:
     def test_planted_stack_query(self):
         gen = generate_scene(SceneRecipe(seed=5, layout=Layout.STACKS, node_count=6))

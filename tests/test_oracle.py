@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scenequery.oracle import (
     OracleConfig,
@@ -215,6 +215,7 @@ def test_on_top_of_antisymmetric(pair):
 
 
 @given(nodes_pair())
+@example((box(1, (0.5, 2.6, 2.8), (0, 0, 0)), box(2, (1.3, 2.2, 1.4), (0, 0, 0))))
 def test_size_compare_consistent(pair):
     a, b = pair
     ab, ba = size_compare(a, b), size_compare(b, a)
@@ -264,6 +265,97 @@ def brute_force_edges(scene, cfg):
             if near(a, b, cfg):
                 found.append((a.id, SpatialRelation.NEAR, b.id))
     return sorted(found, key=lambda e: (e[0], e[1].value, e[2]))
+
+
+@st.composite
+def boundary_scenes(draw):
+    """(scene, cfg) whose pairs sit on the Near and OnTopOf boundaries,
+    moved by a translation of up to 1e4 on each axis.
+
+    Each box after the first is placed off an earlier one. On each axis
+    the offset is zero, a grid step, the near threshold (or its 0.6 and
+    0.8 parts, which make a diagonal of exactly the threshold), the
+    half-extent sum at which footprints touch, or in z the height at
+    which the gap equals the tolerance.
+    """
+    cfg = OracleConfig(
+        near_threshold=draw(st.sampled_from([1.0, 0.05, 0.3])),
+        vertical_gap_tolerance=draw(st.sampled_from([0.15, 0.05])),
+    )
+    t, tol = cfg.near_threshold, cfg.vertical_gap_tolerance
+    extent = st.integers(0, 12).map(lambda k: k / 10)
+    coord = st.integers(-60, 60).map(lambda k: k / 20)
+    nodes: list[ObjectNode] = []
+    for i in range(draw(st.integers(1, 24))):
+        ext = Vec3(draw(extent), draw(extent), draw(extent))
+        if not nodes:
+            centre = Vec3(draw(coord), draw(coord), draw(coord))
+        else:
+            base = draw(st.sampled_from(nodes))
+            bx, by, bz = base.bbox_extent
+            dx = draw(st.sampled_from([0, 0.05, t, 0.6 * t, (bx + ext.x) / 2]))
+            dy = draw(st.sampled_from([0, 0.05, t, 0.8 * t, (by + ext.y) / 2]))
+            dz = draw(st.sampled_from([0, t, (bz + ext.z) / 2, (bz + ext.z) / 2 + tol]))
+            signs = draw(st.tuples(*[st.sampled_from([-1, 1])] * 3))
+            centre = base.bbox_center + Vec3(signs[0] * dx, signs[1] * dy, signs[2] * dz)
+        nodes.append(ObjectNode(i, ext, centre, f"obj{i}"))
+    shift = draw(st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-1e4, 1e4)] * 3)))
+    return translated(SceneGraph(nodes=tuple(nodes)), Vec3(*shift)), cfg
+
+
+# Centres 1 + 4e-10 apart straddle two cell boundaries at 0 and 1, yet
+# their distance snaps down onto the threshold of 1.
+SNAPPED_ONTO_THRESHOLD = (
+    SceneGraph(nodes=(box(0, (0.2, 0.2, 0.2), (-2e-10, 0, 0)), box(1, (0.2, 0.2, 0.2), (1 + 2e-10, 0, 0)))),
+    OracleConfig(near_threshold=1.0),
+)
+
+
+@settings(deadline=None)
+@given(boundary_scenes())
+@example(SNAPPED_ONTO_THRESHOLD)
+def test_derive_edges_matches_brute_force_on_boundaries(scene_cfg):
+    scene, cfg = scene_cfg
+    assert derive_edges(scene, cfg) == brute_force_edges(scene, cfg)
+
+
+def multi_room_scene(rooms: int = 4, per_room: int = 30) -> SceneGraph:
+    """Rooms 4 m wide at a 5 m pitch: furniture on the floor, boxes
+    stacked on it touching, 0.1 m or 0.2 m above, and small floor items."""
+    rng = random.Random(7)
+    nodes: list[ObjectNode] = []
+
+    def add(extent, centre):
+        nodes.append(ObjectNode(len(nodes), Vec3(*extent), Vec3(*centre), f"obj{len(nodes)}"))
+        return nodes[-1]
+
+    def dm(lo, hi):
+        return rng.randint(lo, hi) / 10
+
+    for room in range(rooms):
+        ox, oy = (room % 2) * 5.0, (room // 2) * 5.0
+        supports = []
+        for _ in range(per_room // 3):
+            ez = rng.choice([0.4, 0.6, 0.8])
+            supports.append(add((dm(6, 20), dm(6, 20), ez), (ox + dm(0, 40), oy + dm(0, 40), ez / 2)))
+        for _ in range(per_room // 3):
+            base = rng.choice(supports)
+            ez = rng.choice([0.2, 0.4])
+            cx, cy, cz = base.bbox_center
+            top = cz + base.bbox_extent.z / 2 + rng.choice([0.0, 0.1, 0.2]) + ez / 2
+            supports.append(add((dm(2, 6), dm(2, 6), ez), (cx + dm(-3, 3), cy + dm(-3, 3), top)))
+        while len(nodes) < (room + 1) * per_room:
+            add((dm(2, 6),) * 3, (ox + dm(0, 40), oy + dm(0, 40), 0.1))
+    return SceneGraph(nodes=tuple(nodes))
+
+
+def test_multi_room_scene_matches_brute_force():
+    scene = multi_room_scene()
+    cfg = OracleConfig()
+    edges = derive_edges(scene, cfg)
+    assert len(scene.nodes) == 120
+    assert {rel for _, rel, _ in edges} == {SpatialRelation.ON_TOP_OF, SpatialRelation.NEAR}
+    assert edges == brute_force_edges(scene, cfg)
 
 
 def translated(scene: SceneGraph, offset: Vec3) -> SceneGraph:

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from scenequery.scene_model import (
     NODE_KEYS,
@@ -106,6 +106,28 @@ class TestParseScene:
         assert out[0]["confidence"] == 0.9
 
 
+class TestSceneGraph:
+    def test_lookup_by_id(self, couch, pillow):
+        scene = SceneGraph(nodes=(couch, pillow))
+        assert scene.node(27) is pillow
+        assert scene.has_node(28) and not scene.has_node(5)
+        with pytest.raises(KeyError, match="no node with id 5"):
+            scene.node(5)
+
+    def test_duplicate_id_message(self):
+        a = ObjectNode(4, Vec3(1, 1, 1), Vec3(0, 0, 0), "a")
+        b = ObjectNode(4, Vec3(1, 1, 1), Vec3(1, 1, 1), "b")
+        with pytest.raises(SceneError) as exc:
+            SceneGraph(nodes=(a, b))
+        assert str(exc.value) == "duplicate node id 4"
+
+    def test_index_is_not_part_of_value(self, couch, pillow):
+        one, two = SceneGraph(nodes=(couch, pillow)), SceneGraph(nodes=(couch, pillow))
+        assert one == two and hash(one) == hash(two)
+        assert one != SceneGraph(nodes=(pillow, couch))
+        assert repr(one) == f"SceneGraph(nodes={(couch, pillow)!r})"
+
+
 class TestSerializeScene:
     def test_round_trip_sample(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
@@ -190,12 +212,21 @@ def test_round_trip_property(scene):
 
 
 @given(st.tuples(extent_component, extent_component, extent_component), st.tuples(finite, finite, finite))
+@example(extent=(129.0, 308.0, 1e-05), center=(0.0, 0.0, 129.0))
+@example(extent=(1e-09, 471.0, 612.0), center=(17.0, 0.0, 0.0))
 def test_aabb_volume_preserved(extent, center):
+    """Each side of the box is its extent, so the volume is their product.
+
+    `center ± half` rounds each face by up to half an ulp of |center| +
+    extent, and the subtraction rounds once more, so a side may miss
+    its extent by a few such ulps. On a tiny extent next to a large
+    centre that is a large relative error, and a volume bound misreads
+    it; the per-axis bound does not.
+    """
     node = ObjectNode(0, Vec3(*extent), Vec3(*center), "x")
     box = aabb_of(node)
-    vol_box = math.prod(hi - lo for lo, hi in zip(box.min, box.max))
-    vol_extent = math.prod(extent)
-    assert vol_box == pytest.approx(vol_extent, rel=1e-9, abs=1e-9)
+    for lo, hi, c, e in zip(box.min, box.max, center, extent):
+        assert abs((hi - lo) - e) <= 4 * math.ulp(abs(c) + e)
 
 
 def test_scene_issues_collects_all():
