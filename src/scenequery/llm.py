@@ -8,6 +8,7 @@ can be exercised without a network.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -74,7 +75,11 @@ class Backend(Protocol):
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completions endpoint with retry."""
+    """OpenAI-compatible chat-completions endpoint with retry.
+
+    Connection errors, 5xx and 429 are retried up to `max_retries` times
+    with exponential backoff; after a 429 the wait is at least the
+    response's Retry-After seconds."""
 
     def __init__(
         self,
@@ -104,9 +109,11 @@ class HttpBackend:
         headers = {"Authorization": f"Bearer {self.api_key}"}
 
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(self.cfg.max_retries + 1):
             if attempt:
-                self._sleep(0.5 * 2 ** (attempt - 1))
+                self._sleep(max(0.5 * 2 ** (attempt - 1), retry_after))
+                retry_after = 0.0
             try:
                 resp = self.session.post(url, json=payload, headers=headers, timeout=self.cfg.timeout)
             except requests.RequestException as exc:
@@ -114,6 +121,10 @@ class HttpBackend:
                 continue
             if resp.status_code >= 500:
                 last_error = TransportError(f"server error {resp.status_code}")
+                continue
+            if resp.status_code == 429:
+                last_error = TransportError("rate limited (429)")
+                retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
                 continue
             if resp.status_code in (401, 403):
                 raise AuthMissingError(f"endpoint rejected credentials ({resp.status_code})")
@@ -126,6 +137,16 @@ class HttpBackend:
             except (ValueError, KeyError, IndexError) as exc:
                 raise LlmError(f"unexpected response shape: {exc}") from exc
         raise TransportError(f"request failed after {self.cfg.max_retries + 1} attempts: {last_error}")
+
+
+def _retry_after_seconds(value: Optional[str]) -> float:
+    """A Retry-After header read as delta-seconds; 0 when missing or not
+    a finite, non-negative number (an HTTP date included)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return 0.0
+    return seconds if math.isfinite(seconds) and seconds >= 0 else 0.0
 
 
 class MockBackend:

@@ -68,44 +68,27 @@ _BRACKET_LIST = re.compile(r"\[([^\]]*)\]")
 _INT = re.compile(r"-?\d+")
 
 
-def extract_json_block(text: str) -> Optional[dict]:
-    """First balanced, syntactically valid JSON object in the text.
+_DECODER = json.JSONDecoder()
+# A JSON object opens with "{", optional JSON whitespace, then a key or "}".
+_OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
 
-    Scans brace-by-brace (string-aware) so prose and code fences around
-    the object don't matter. Returns None when nothing valid is found.
+
+def extract_json_block(text: str) -> Optional[dict]:
+    """First valid JSON object in the text.
+
+    Decodes at each "{" that can open an object, in turn, so prose and
+    code fences around the object don't matter, and a stray "{" costs
+    only as far as the decoder reads from it. Returns None when nothing
+    valid is found, or when a value nests deeper than the decoder can
+    recurse: such text is treated as malformed JSON.
     """
-    for start, ch in enumerate(text):
-        if ch != "{":
+    for start in _OBJECT_START.finditer(text):
+        try:
+            return _DECODER.raw_decode(text, start.start())[0]
+        except json.JSONDecodeError:
             continue
-        depth = 0
-        in_string = False
-        escaped = False
-        for end in range(start, len(text)):
-            c = text[end]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_string = False
-                continue
-            if c == '"':
-                in_string = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    candidate = text[start : end + 1]
-                    try:
-                        value = json.loads(candidate)
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(value, dict):
-                        return value
-                    break
-        # Unbalanced or invalid from this start; try the next "{".
+        except RecursionError:
+            return None
     return None
 
 

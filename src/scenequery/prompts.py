@@ -5,6 +5,11 @@ The system prompt is a fixed template with three placeholders
 the estimate past the budget, the scene is compacted step by step:
 captions go first, then color/material, then numeric precision, and
 finally whole nodes in ascending lexical relevance to the query.
+
+The numeric step (round_numerics) is recorded to keep the canonical
+action order, but changes no byte: serialization already rounds box
+numbers to one decimal. Pruning encodes each node once and tracks the
+scene's serialized length by subtraction, so it never re-serializes.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from importlib import resources
 from typing import Optional
 
 from .oracle import QueryCategory
-from .scene_model import ObjectNode, SceneGraph, SerializeOptions, Vec3, serialize_scene
+from .scene_model import ObjectNode, SceneGraph, SerializeOptions, node_to_dict, serialize_scene
 
 DEFAULT_TOKEN_BUDGET = 16000
 
@@ -138,22 +143,6 @@ def _relevance(node: ObjectNode, query_words: set[str]) -> int:
     return len(node_words & query_words)
 
 
-def _round_node(node: ObjectNode) -> ObjectNode:
-    def r(v: Vec3) -> Vec3:
-        return Vec3(*(round(c, 1) + 0.0 for c in v))
-
-    return ObjectNode(
-        id=node.id,
-        bbox_extent=r(node.bbox_extent),
-        bbox_center=r(node.bbox_center),
-        object_tag=node.object_tag,
-        caption=node.caption,
-        color=node.color,
-        material=node.material,
-        extra=node.extra,
-    )
-
-
 def compact_scene(
     scene: SceneGraph, query: str, budget: int, template_overhead: int
 ) -> tuple[SceneGraph, list[str]]:
@@ -164,45 +153,67 @@ def compact_scene(
     pruned; if the budget still cannot be met once everything else is
     gone, BudgetInfeasible reports the overflow.
     """
-    actions: list[str] = []
-    current = scene
+    kept, actions, _ = _compact(scene, query, budget, template_overhead)
+    return kept, actions
 
-    def fits() -> bool:
-        opts = options_for_actions(actions)
-        return template_overhead + estimate_tokens(serialize_scene(current, opts)) <= budget
+
+def _compact(
+    scene: SceneGraph, query: str, budget: int, template_overhead: int
+) -> tuple[SceneGraph, list[str], str]:
+    """compact_scene, plus the kept scene's JSON under the final options.
+
+    Each node is encoded once for the pruning options; the serialized
+    length of the kept nodes is then kept up to date by subtraction, so
+    a fit check costs O(1) however many nodes are pruned.
+    """
+
+    def overflow(scene_length: int) -> int:
+        # Tokens over budget; estimate_tokens of a scene JSON this long.
+        return template_overhead + math.ceil(scene_length / 4) - budget
 
     if budget <= template_overhead:
         raise BudgetInfeasible(template_overhead - budget + 1)
-    if fits():
-        return current, []
 
-    for action in (ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES, ACTION_ROUND_NUMERICS):
-        actions.append(action)
-        if action == ACTION_ROUND_NUMERICS:
-            current = SceneGraph(nodes=tuple(_round_node(n) for n in current.nodes))
-        if fits():
-            return current, actions
+    for actions in ([], [ACTION_DROP_CAPTIONS]):
+        scene_json = serialize_scene(scene, options_for_actions(actions))
+        if overflow(len(scene_json)) <= 0:
+            return scene, actions, scene_json
 
-    lowered = query.lower()
-    query_words = set(_WORD.findall(lowered))
-    protected = {n.id for n in current.nodes if n.object_tag.lower() in lowered}
-    # Least relevant first; ties pruned from the back of the node list.
-    prunable = sorted(
-        (n for n in current.nodes if n.id not in protected),
-        key=lambda n: (_relevance(n, query_words), -n.id),
-    )
-    if not protected and prunable:
-        # Never empty the scene entirely; keep the most relevant node.
-        prunable = prunable[:-1]
-    for victim in prunable:
-        current = SceneGraph(nodes=tuple(n for n in current.nodes if n.id != victim.id))
-        actions.append(f"{ACTION_PRUNE_NODE}:{victim.id}")
-        if fits():
-            return current, actions
-
+    actions = [ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES]
     opts = options_for_actions(actions)
-    overflow = template_overhead + estimate_tokens(serialize_scene(current, opts)) - budget
-    raise BudgetInfeasible(overflow)
+    # json.dumps of a list is "[" + ", ".join(items) + "]", items encoded
+    # as json.dumps encodes them alone: the same bytes as serialize_scene.
+    encoded = {n.id: json.dumps(node_to_dict(n, opts)) for n in scene.nodes}
+    length = len(", ".join(encoded.values())) + 2
+    pruned: set[int] = set()
+    if overflow(length) > 0:
+        # Recorded for the canonical order; serialization already rounds to
+        # one decimal, so this step changes no byte and needs no new check.
+        actions.append(ACTION_ROUND_NUMERICS)
+        lowered = query.lower()
+        query_words = set(_WORD.findall(lowered))
+        protected = {n.id for n in scene.nodes if n.object_tag.lower() in lowered}
+        # Least relevant first; ties pruned from the back of the node list.
+        prunable = sorted(
+            (n for n in scene.nodes if n.id not in protected),
+            key=lambda n: (_relevance(n, query_words), -n.id),
+        )
+        if not protected and prunable:
+            # Never empty the scene entirely; keep the most relevant node.
+            prunable = prunable[:-1]
+        for victim in prunable:
+            pruned.add(victim.id)
+            # A node always remains, so each prune also removes one ", ".
+            length -= len(encoded[victim.id]) + 2
+            actions.append(f"{ACTION_PRUNE_NODE}:{victim.id}")
+            if overflow(length) <= 0:
+                break
+        else:
+            raise BudgetInfeasible(overflow(length))
+
+    kept = tuple(n for n in scene.nodes if n.id not in pruned)
+    scene_json = "[" + ", ".join(encoded[n.id] for n in kept) + "]"
+    return SceneGraph(nodes=kept), actions, scene_json
 
 
 def build_prompt(
@@ -220,12 +231,7 @@ def build_prompt(
     examples_text = render_examples(examples)
     overhead = estimate_tokens(render_template(template, "", examples_text, query))
 
-    actions: list[str] = []
-    scene_json = serialize_scene(scene)
-    if overhead + estimate_tokens(scene_json) > budget:
-        scene, actions = compact_scene(scene, query, budget, overhead)
-        scene_json = serialize_scene(scene, options_for_actions(actions))
-
+    scene, actions, scene_json = _compact(scene, query, budget, overhead)
     system_text = render_template(template, scene_json, examples_text, query)
     return PromptBundle(
         system_text=system_text,

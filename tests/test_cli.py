@@ -106,6 +106,25 @@ class TestAsk:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: unparseable response")
 
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 3)])
+    def test_deeply_nested_final_json(self, couch_pillow_file, tmp_path, capsys, strict, code):
+        reply = (
+            "STEP1 - inferred_query: where is the pillow\n"
+            "STEP2 - relevant_objects: [27]\n"
+            "STEP3 - reason for relevance: named\n"
+            "STEP4 - Final Answer: here " + '{"a": ' * 3000 + "1" + "}" * 3000 + "\n"
+            "STEP-5 - Explanation: done\n"
+        )
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([reply]), encoding="utf-8")
+        flags = ["--strict"] if strict else []
+        ask = ["ask", couch_pillow_file, "where is the pillow?", "--backend", "mock", "--mock-script", str(script)]
+        assert main(flags + ask) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if strict:
+            assert err.startswith("error: unparseable response: STEP4 JSON does not parse")
+
     def test_infeasible_budget_exits_1(self, couch_pillow_file, capsys):
         assert main(["--budget", "10", "ask", couch_pillow_file, "where is the pillow?"]) == 1
         assert "budget" in capsys.readouterr().err

@@ -25,10 +25,11 @@ def bundle(text="system prompt"):
 
 
 class FakeResponse:
-    def __init__(self, status_code, body=None, text=""):
+    def __init__(self, status_code, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text or (json.dumps(body) if body else "")
+        self.headers = headers or {}
 
     def json(self):
         return self._body
@@ -93,6 +94,52 @@ class TestHttpBackend:
         )
         with pytest.raises(TransportError):
             backend.complete("s", "u")
+
+    def test_rate_limit_retried_with_backoff(self):
+        session = FakeSession([FakeResponse(429), ok_response("ok")])
+        sleeps = []
+        backend = HttpBackend(LlmConfig(base_url="http://x"), api_key="k", session=session, sleep=sleeps.append)
+        assert backend.complete("s", "u") == "ok"
+        assert len(session.requests) == 2
+        assert sleeps == [0.5]
+
+    def test_rate_limit_honours_retry_after(self):
+        session = FakeSession(
+            [
+                FakeResponse(429, headers={"Retry-After": "3"}),
+                FakeResponse(429, headers={"Retry-After": "0"}),
+                FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                FakeResponse(429, headers={"Retry-After": "inf"}),
+                ok_response("ok"),
+            ]
+        )
+        sleeps = []
+        backend = HttpBackend(
+            LlmConfig(base_url="http://x", max_retries=4), api_key="k", session=session, sleep=sleeps.append
+        )
+        assert backend.complete("s", "u") == "ok"
+        # The header wins only when it asks for longer than the backoff.
+        assert sleeps == [3.0, 1.0, 2.0, 4.0]
+
+    def test_retry_after_not_carried_past_its_attempt(self):
+        session = FakeSession([FakeResponse(429, headers={"Retry-After": "9"}), FakeResponse(500), ok_response()])
+        sleeps = []
+        backend = HttpBackend(
+            LlmConfig(base_url="http://x", max_retries=2), api_key="k", session=session, sleep=sleeps.append
+        )
+        backend.complete("s", "u")
+        assert sleeps == [9.0, 1.0]
+
+    def test_rate_limit_retries_exhausted(self):
+        session = FakeSession([FakeResponse(429, headers={"Retry-After": "1"})] * 3)
+        sleeps = []
+        backend = HttpBackend(
+            LlmConfig(base_url="http://x", max_retries=2), api_key="k", session=session, sleep=sleeps.append
+        )
+        with pytest.raises(TransportError, match="429"):
+            backend.complete("s", "u")
+        assert len(session.requests) == 3
+        assert sleeps == [1.0, 1.0]
 
     def test_context_overflow_not_retried(self):
         session = FakeSession([FakeResponse(400, text="maximum context length exceeded")])

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from scenequery.llm import oracle_backed_mock
 from scenequery.oracle import QueryCategory, StructuredQuery
@@ -133,6 +135,82 @@ class TestExtractJsonBlock:
 
     def test_no_object(self):
         assert extract_json_block("plain text") is None
+
+    def test_stray_braces_before_object(self):
+        assert extract_json_block("{ " * 300 + '{"object_id": 3}') == {"object_id": 3}
+
+    def test_nesting_past_recursion_limit_is_malformed(self):
+        assert extract_json_block(DEEP) is None
+
+
+def scanning_extract_json_block(text):
+    """Reference: match braces string-aware from each "{", then json.loads."""
+    for start, ch in enumerate(text):
+        if ch != "{":
+            continue
+        depth = 0
+        in_string = False
+        escaped = False
+        for end in range(start, len(text)):
+            c = text[end]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif c == "\\":
+                    escaped = True
+                elif c == '"':
+                    in_string = False
+                continue
+            if c == '"':
+                in_string = True
+            elif c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        value = json.loads(text[start : end + 1])
+                    except json.JSONDecodeError:
+                        break
+                    if isinstance(value, dict):
+                        return value
+                    break
+    return None
+
+
+json_ish = st.one_of(
+    st.text(alphabet='{}[]":,\\ ab01-.e\n\t\r\x0b\xa0', max_size=60),
+    st.lists(
+        st.sampled_from(
+            ["{", "}", '"', '\\"', '{"a": 1}', '{"a": {"b": [1, "}"]}}', '{"x": ', "[", "]", ": ", ", ", "1", "NaN", " ", "text"]
+        ),
+        max_size=20,
+    ).map("".join),
+)
+
+
+@given(json_ish)
+@example('x {"a": "has } brace"} {"b": 2}')
+@example('{"a": {"b": 1}, } {"c": 2}')
+@example('{"a": "\\"{"} }')
+@example('{\x0b"a": 1} {\t\r\n "b": 2}')
+def test_extract_json_block_matches_scanner(text):
+    assert extract_json_block(text) == scanning_extract_json_block(text)
+
+
+DEEP = '{"a": ' * 3000 + "1" + "}" * 3000
+DEEP_REPLY = WELL_FORMED.replace('{"object_tag": "vase", "object_id": 0}', DEEP)
+
+
+class TestDeepNesting:
+    def test_lenient_notes_malformed_json(self):
+        parsed = parse_response(DEEP_REPLY)
+        assert parsed.final_object_id is None
+        assert [(n.kind, n.step) for n in parsed.notes] == [(IssueKind.MALFORMED_JSON, 4)]
+
+    def test_strict_rejects(self):
+        with pytest.raises(UnparseableResponse):
+            parse_response(DEEP_REPLY, strict=True)
 
 
 class TestValidateGrounding:

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scenequery.oracle import QueryCategory
 from scenequery.prompts import (
@@ -9,13 +12,17 @@ from scenequery.prompts import (
     BudgetInfeasible,
     ExampleLibrary,
     InContextExample,
+    PromptBundle,
     build_prompt,
     compact_scene,
     estimate_tokens,
     load_template,
+    options_for_actions,
+    render_examples,
+    render_template,
     select_examples,
 )
-from scenequery.scene_model import ObjectNode, SceneGraph, Vec3, parse_scene, serialize_scene
+from scenequery.scene_model import NODE_KEYS, ObjectNode, SceneGraph, Vec3, parse_scene, serialize_scene
 
 
 class TestEstimateTokens:
@@ -179,3 +186,225 @@ def test_template_asset_loads():
     for placeholder in ("{scenegraph}", "{examples}", "{input}"):
         assert placeholder in template
     assert "STEP1" in template and "STEP-5" in template
+
+
+# --- reference compaction ----------------------------------------------------
+# The straightforward version: rebuild and re-serialize the whole scene after
+# every step and every prune. build_prompt must produce exactly what it does.
+
+_WORD = re.compile(r"[a-z0-9]+")
+
+
+def _reference_round_node(node):
+    def r(v):
+        return Vec3(*(round(c, 1) + 0.0 for c in v))
+
+    return ObjectNode(
+        node.id, r(node.bbox_extent), r(node.bbox_center), node.object_tag,
+        node.caption, node.color, node.material, node.extra,
+    )
+
+
+def reference_compact_scene(scene, query, budget, template_overhead):
+    actions = []
+    current = scene
+
+    def fits():
+        opts = options_for_actions(actions)
+        return template_overhead + estimate_tokens(serialize_scene(current, opts)) <= budget
+
+    if budget <= template_overhead:
+        raise BudgetInfeasible(template_overhead - budget + 1)
+    if fits():
+        return current, []
+    for action in (ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES, ACTION_ROUND_NUMERICS):
+        actions.append(action)
+        if action == ACTION_ROUND_NUMERICS:
+            current = SceneGraph(nodes=tuple(_reference_round_node(n) for n in current.nodes))
+        if fits():
+            return current, actions
+
+    def relevance(node):
+        return len(set(_WORD.findall((node.object_tag + " " + node.caption).lower())) & query_words)
+
+    lowered = query.lower()
+    query_words = set(_WORD.findall(lowered))
+    protected = {n.id for n in current.nodes if n.object_tag.lower() in lowered}
+    prunable = sorted((n for n in current.nodes if n.id not in protected), key=lambda n: (relevance(n), -n.id))
+    if not protected and prunable:
+        prunable = prunable[:-1]
+    for victim in prunable:
+        current = SceneGraph(nodes=tuple(n for n in current.nodes if n.id != victim.id))
+        actions.append(f"{ACTION_PRUNE_NODE}:{victim.id}")
+        if fits():
+            return current, actions
+    opts = options_for_actions(actions)
+    raise BudgetInfeasible(template_overhead + estimate_tokens(serialize_scene(current, opts)) - budget)
+
+
+def reference_build_prompt(scene, query, examples, budget):
+    template = load_template()
+    examples_text = render_examples(examples)
+    overhead = estimate_tokens(render_template(template, "", examples_text, query))
+    actions = []
+    scene_json = serialize_scene(scene)
+    if overhead + estimate_tokens(scene_json) > budget:
+        scene, actions = reference_compact_scene(scene, query, budget, overhead)
+        scene_json = serialize_scene(scene, options_for_actions(actions))
+    system_text = render_template(template, scene_json, examples_text, query)
+    return PromptBundle(system_text, estimate_tokens(system_text), tuple(n.id for n in scene.nodes), tuple(actions))
+
+
+def outcome(build, scene, query, budget):
+    """The bundle, or the overflow and message of BudgetInfeasible."""
+    try:
+        return build(scene, query, select_examples(QueryCategory.FREEFORM), budget)
+    except BudgetInfeasible as exc:
+        return ("infeasible", exc.overflow_tokens, str(exc))
+
+
+def overhead_for(query):
+    examples_text = render_examples(select_examples(QueryCategory.FREEFORM))
+    return estimate_tokens(render_template(load_template(), "", examples_text, query))
+
+
+def scene_tokens(scene, actions):
+    return estimate_tokens(serialize_scene(scene, options_for_actions(actions)))
+
+
+STOPS = ("fits", "captions", "attributes", "mid_prune", "prune_boundary", "infeasible", "below_overhead")
+
+
+def budget_for(stop, scene, query, pick=0):
+    """A budget that ends compaction at `stop` (when the scene allows it).
+
+    `pick` in [0, 1) places a mid-prune budget between the smallest
+    scene and the scene without attributes."""
+    overhead = overhead_for(query)
+    full = scene_tokens(scene, [])
+    captions = scene_tokens(scene, [ACTION_DROP_CAPTIONS])
+    attributes = scene_tokens(scene, [ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES])
+    if stop == "fits":
+        return overhead + full
+    if stop == "captions":
+        return overhead + captions
+    if stop == "attributes":
+        return overhead + attributes
+    if stop in ("mid_prune", "prune_boundary"):
+        budget = overhead + 1 + int(pick * max(attributes - 1, 0))
+        if stop == "mid_prune":
+            return budget
+        # Exactly the size of the scene pruning stops at: nothing to spare.
+        try:
+            kept, actions = reference_compact_scene(scene, query, budget, overhead)
+        except BudgetInfeasible:
+            return budget
+        return overhead + scene_tokens(kept, actions)
+    if stop == "infeasible":
+        return overhead + 1
+    return overhead - int(pick * 5)
+
+
+coordinate = st.one_of(
+    st.floats(-1e4, 1e4, allow_nan=False),
+    st.integers(-2000, 2000).map(lambda k: k / 20),  # halves of the last kept decimal
+    st.sampled_from([0.0, -0.0, -0.04, 0.05, -0.05, 0.15, 2.675]),
+)
+vec = st.builds(Vec3, coordinate, coordinate, coordinate)
+words = st.sampled_from(["vase", "mirror", "red", "table", "café", "Über", "雪", "on", "the", "chair"])
+phrase = st.lists(words, min_size=1, max_size=4).map(" ".join)
+text = st.one_of(st.just(""), phrase, st.text(max_size=20))
+extra = st.lists(
+    st.tuples(
+        st.text(min_size=1, max_size=6).filter(lambda k: k not in NODE_KEYS),
+        st.one_of(st.integers(), st.text(max_size=8), st.lists(st.integers(), max_size=3)),
+    ),
+    max_size=2,
+    unique_by=lambda kv: kv[0],
+).map(tuple)
+
+
+@st.composite
+def scenes(draw):
+    ids = draw(st.lists(st.integers(0, 10**6), max_size=12, unique=True))
+    nodes = tuple(
+        ObjectNode(i, draw(vec), draw(vec), draw(phrase), draw(text), draw(text), draw(text), draw(extra))
+        for i in ids
+    )
+    return SceneGraph(nodes=nodes)
+
+
+@st.composite
+def queries(draw, scene):
+    parts = draw(st.lists(words, max_size=3))
+    if scene.nodes and draw(st.booleans()):
+        # Name a node by its tag, which protects it from pruning.
+        parts.append(draw(st.sampled_from(scene.nodes)).object_tag)
+    return "where is the " + " ".join(parts) + "?"
+
+
+EMPTY = SceneGraph(nodes=())
+ONE = SceneGraph(nodes=(ObjectNode(3, Vec3(0.25, -0.0, 1e-9), Vec3(-0.05, 0.15, 2.675), "vase", "a vase", "red"),))
+NON_ASCII = SceneGraph(
+    nodes=(
+        ObjectNode(0, Vec3(1, 1, 1), Vec3(0, 0, 0), "café table", "Über ☃ 雪", "rouge", extra=(("tags", ["é"]),)),
+        ObjectNode(1, Vec3(0.5, 0.5, 0.5), Vec3(-0.0, 0.0, 0.45), "mirror", "a mirror", extra=(("score", 7),)),
+    )
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data(), scenes(), st.sampled_from(STOPS), st.floats(0, 1, exclude_max=True))
+@example(None, EMPTY, "fits", 0.0)
+@example(None, EMPTY, "below_overhead", 0.5)
+@example(None, ONE, "infeasible", 0.0)
+@example(None, ONE, "mid_prune", 0.5)
+@example(None, NON_ASCII, "captions", 0.0)
+@example(None, NON_ASCII, "mid_prune", 0.9)
+@example(None, NON_ASCII, "prune_boundary", 0.9)
+def test_build_prompt_matches_reference(data, scene, stop, pick):
+    query = data.draw(queries(scene)) if data is not None else "where is the café table?"
+    budget = budget_for(stop, scene, query, pick)
+    assert outcome(build_prompt, scene, query, budget) == outcome(reference_build_prompt, scene, query, budget)
+    overhead = overhead_for(query)
+    try:
+        kept, actions = compact_scene(scene, query, budget, overhead)
+    except BudgetInfeasible:
+        return
+    reference_kept, reference_actions = reference_compact_scene(scene, query, budget, overhead)
+    assert [n.id for n in kept.nodes] == [n.id for n in reference_kept.nodes]
+    assert actions == reference_actions
+
+
+def captioned_scene():
+    scene = big_scene(node_count=30, caption_len=96)
+    # One long caption on an unnamed node: dropping captions alone can fit.
+    return SceneGraph(nodes=scene.nodes[:-1] + (ObjectNode(29, Vec3(1, 1, 1), Vec3(0, 0, 0), "lamp", "x" * 4000),))
+
+
+@pytest.mark.parametrize(
+    "stop, expected_actions",
+    [
+        ("fits", []),
+        ("captions", [ACTION_DROP_CAPTIONS]),
+        ("attributes", [ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES]),
+        ("mid_prune", [ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES, ACTION_ROUND_NUMERICS, "prune"]),
+        ("prune_boundary", [ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES, ACTION_ROUND_NUMERICS, "prune"]),
+        ("infeasible", None),
+        ("below_overhead", None),
+    ],
+)
+def test_each_compaction_branch_matches_reference(stop, expected_actions):
+    scene, query = captioned_scene(), "where is the vase?"
+    budget = budget_for(stop, scene, query, 0.5)
+    got = outcome(build_prompt, scene, query, budget)
+    assert got == outcome(reference_build_prompt, scene, query, budget)
+    if expected_actions is None:
+        assert got[0] == "infeasible"
+        return
+    actions = list(got.compaction_report)
+    if expected_actions[-1:] == ["prune"]:
+        assert actions[:3] == expected_actions[:3] and len(actions) > 3
+        assert 0 < len(got.included_node_ids) < len(scene.nodes)
+    else:
+        assert actions == expected_actions
