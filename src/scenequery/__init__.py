@@ -21,7 +21,7 @@ from .oracle import (
     size_compare,
 )
 from .parsing import GroundingIssue, ParsedResponse, parse_response, validate_grounding
-from .prompts import InContextExample, PromptBundle, build_prompt, estimate_tokens, select_examples
+from .prompts import PromptBundle, build_prompt, estimate_tokens
 from .scene_model import (
     Aabb,
     ObjectNode,

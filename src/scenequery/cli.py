@@ -27,8 +27,8 @@ from .evalharness import (
     generate_scene,
     run_eval,
 )
-from .oracle import OracleConfig, derive_edges, interpret_query
-from .prompts import BudgetInfeasible, build_prompt, estimate_tokens, select_examples
+from .oracle import OracleConfig, derive_edges
+from .prompts import BudgetInfeasible, build_prompt, estimate_tokens
 from .scene_model import SceneError, SceneGraph, parse_scene, scene_issues, serialize_scene
 
 EXIT_OK = 0
@@ -148,7 +148,7 @@ def _make_backend(kind: str, scene: SceneGraph, cfg: CliConfig, mock_script_path
 def _run_ask(scene: SceneGraph, query: str, backend, cfg: CliConfig) -> int:
     """Answer one query, print the result and return its exit code."""
     try:
-        result = answer(scene, query, interpret_query(scene, query).category, backend, cfg.eval)
+        result = answer(scene, query, backend, cfg.eval)
     except llm_mod.LlmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -162,32 +162,26 @@ def _run_ask(scene: SceneGraph, query: str, backend, cfg: CliConfig) -> int:
             print(result.raw, file=sys.stderr)
         return EXIT_PARSE
 
-    if cfg.output_format == "json":
-        print(
-            json.dumps(
-                {
-                    "inferred_query": parsed.inferred_query,
-                    "relevant_objects": list(parsed.relevant_object_ids),
-                    "relevance_reason": parsed.relevance_reason,
-                    "final_text": parsed.final_text,
-                    "final_object_tag": parsed.final_object_tag,
-                    "final_object_id": parsed.final_object_id,
-                    "explanation": parsed.explanation,
-                    "grounding_issues": [str(i) for i in issues],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"inferred query : {parsed.inferred_query}")
-        print(f"relevant ids   : {list(parsed.relevant_object_ids)}")
-        print(f"answer         : {parsed.final_text}")
-        print(f"explanation    : {parsed.explanation}")
-        if issues:
-            print("grounding issues:")
-            for issue in issues:
-                print(f"  {issue}")
+    payload = {
+        "inferred_query": parsed.inferred_query,
+        "relevant_objects": list(parsed.relevant_object_ids),
+        "relevance_reason": parsed.relevance_reason,
+        "final_text": parsed.final_text,
+        "final_object_tag": parsed.final_object_tag,
+        "final_object_id": parsed.final_object_id,
+        "explanation": parsed.explanation,
+        "grounding_issues": [str(i) for i in issues],
+    }
+    lines = [
+        f"inferred query : {parsed.inferred_query}",
+        f"relevant ids   : {list(parsed.relevant_object_ids)}",
+        f"answer         : {parsed.final_text}",
+        f"explanation    : {parsed.explanation}",
+    ]
+    if issues:
+        lines.append("grounding issues:")
+        lines.extend(f"  {issue}" for issue in issues)
+    _emit(payload, "\n".join(lines), cfg.output_format)
     return EXIT_OK if not issues else EXIT_INVALID
 
 
@@ -240,10 +234,9 @@ def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
 def cmd_compact(args: argparse.Namespace, cfg: CliConfig) -> int:
     scene = _read_scene(args.scene)
     query = args.query or ""
-    examples = select_examples(interpret_query(scene, query).category)
     before = estimate_tokens(serialize_scene(scene))
     try:
-        bundle = build_prompt(scene, query, examples, budget=cfg.eval.budget)
+        bundle = build_prompt(scene, query, budget=cfg.eval.budget)
     except BudgetInfeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

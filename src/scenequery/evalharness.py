@@ -29,7 +29,7 @@ from .oracle import (
     size_compare,
 )
 from .parsing import GroundingIssue, ParsedResponse, UnparseableResponse, parse_response, validate_grounding
-from .prompts import DEFAULT_TOKEN_BUDGET, build_prompt, select_examples
+from .prompts import DEFAULT_TOKEN_BUDGET, build_prompt
 from .scene_model import ObjectNode, SceneGraph, Vec3
 
 
@@ -76,16 +76,11 @@ class GroundTruthQuery:
     expected_keywords: tuple[str, ...] = ()
 
 
-def load_lexicon(path: Optional[str] = None) -> dict[str, dict]:
+def load_lexicon() -> dict[str, dict]:
     """tag -> {affordances: [...], properties: [...]}, a fresh dict per call."""
-    if path is None:
-        entries = _packaged_lexicon_entries()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            entries = json.loads(fh.read())
     return {
         e["tag"]: {"affordances": list(e.get("affordances", [])), "properties": list(e.get("properties", []))}
-        for e in entries
+        for e in _packaged_lexicon_entries()
     }
 
 
@@ -405,16 +400,14 @@ class Answer:
     issues: tuple[GroundingIssue, ...] = ()
 
 
-def answer(
-    scene: SceneGraph, query: str, category: QueryCategory, backend: llm_mod.Backend, cfg: EvalConfig
-) -> Answer:
+def answer(scene: SceneGraph, query: str, backend: llm_mod.Backend, cfg: EvalConfig) -> Answer:
     """Build the prompt, complete it, parse the reply and check its grounding.
 
     An unparseable reply is returned as data. Backend errors (LlmError)
     and BudgetInfeasible propagate.
     """
-    bundle = build_prompt(scene, query, select_examples(category), budget=cfg.budget)
-    reply = llm_mod.complete(bundle, cfg.llm, backend=backend, user_text=query)
+    bundle = build_prompt(scene, query, budget=cfg.budget)
+    reply = llm_mod.complete(bundle, backend, user_text=query)
     try:
         parsed = parse_response(reply, strict=cfg.strict_parse)
     except UnparseableResponse as exc:
@@ -471,7 +464,7 @@ def run_eval(
     for gen, queries in tasks:
         scene_backend = llm_mod.OracleMockBackend(gen.scene, cfg.oracle) if isinstance(backend, str) else backend
         for q in queries:
-            ans = answer(gen.scene, q.query_text, q.category, scene_backend, cfg)
+            ans = answer(gen.scene, q.query_text, scene_backend, cfg)
             records.append(
                 EvalRecord(
                     seed=gen.recipe.seed,

@@ -58,7 +58,6 @@ class LlmConfig:
     max_output_tokens: int = 1024
     timeout: float = 60.0
     max_retries: int = 2
-    concurrency: int = 4
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -134,7 +133,7 @@ class HttpBackend:
                 raise LlmError(f"request failed ({resp.status_code}): {resp.text[:500]}")
             try:
                 return resp.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError) as exc:
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise LlmError(f"unexpected response shape: {exc}") from exc
         raise TransportError(f"request failed after {self.cfg.max_retries + 1} attempts: {last_error}")
 
@@ -252,9 +251,7 @@ class OracleMockBackend:
         return oracle_backed_mock(self.scene, query, self.cfg)
 
 
-def complete(prompt: PromptBundle, cfg: LlmConfig, backend: Optional[Backend] = None, user_text: str = "") -> str:
+def complete(prompt: PromptBundle, backend: Backend, user_text: str = "") -> str:
     """Send the assembled prompt as the system message and the bare query
     as the user message; returns the raw response text."""
-    if backend is None:
-        backend = HttpBackend(cfg)
     return backend.complete(prompt.system_text, user_text)

@@ -100,7 +100,6 @@ class OracleAnswer:
     object_id: Optional[int] = None
     object_tag: str = ""
     explanation: str = ""
-    evidence: tuple[tuple[str, object], ...] = ()
 
 
 class UnknownIdError(KeyError):
@@ -308,11 +307,6 @@ def answer_query_deterministic(
             object_id=a.id,
             object_tag=a.object_tag,
             explanation=text,
-            evidence=(
-                ("subject_center", tuple(a.bbox_center)),
-                ("object_center", tuple(b.bbox_center)),
-                ("vertical_gap", gap),
-            ),
         )
 
     if q.category is QueryCategory.SIZE_COMPARE:
@@ -330,11 +324,6 @@ def answer_query_deterministic(
             object_id=winner.id,
             object_tag=winner.object_tag,
             explanation=text,
-            evidence=(
-                ("subject_extent", tuple(a.bbox_extent)),
-                ("object_extent", tuple(b.bbox_extent)),
-                ("volume_ratio", cmp.volume_ratio),
-            ),
         )
 
     if q.category is QueryCategory.CONTAINMENT:
@@ -351,10 +340,6 @@ def answer_query_deterministic(
             object_id=a.id,
             object_tag=a.object_tag,
             explanation=text,
-            evidence=(
-                ("outer_extent", tuple(a.bbox_extent)),
-                ("inner_extent", tuple(b.bbox_extent)),
-            ),
         )
 
     # RelativePosition
@@ -371,11 +356,6 @@ def answer_query_deterministic(
         object_id=a.id,
         object_tag=a.object_tag,
         explanation=text,
-        evidence=(
-            ("delta", tuple(rel.delta)),
-            ("relations", tuple(r.value for r in rel.relations)),
-            ("near", rel.near),
-        ),
     )
 
 

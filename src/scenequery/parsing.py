@@ -80,14 +80,15 @@ def extract_json_block(text: str) -> Optional[dict]:
     code fences around the object don't matter, and a stray "{" costs
     only as far as the decoder reads from it. Returns None when nothing
     valid is found, or when a value nests deeper than the decoder can
-    recurse: such text is treated as malformed JSON.
+    recurse or holds an integer longer than Python converts (4,300
+    digits by default): such text is treated as malformed JSON.
     """
     for start in _OBJECT_START.finditer(text):
         try:
             return _DECODER.raw_decode(text, start.start())[0]
         except json.JSONDecodeError:
             continue
-        except RecursionError:
+        except (RecursionError, ValueError):
             return None
     return None
 
@@ -132,7 +133,10 @@ def parse_response(text: str, strict: bool = False) -> ParsedResponse:
     step2 = sections[2]
     bracket = _BRACKET_LIST.search(step2)
     if bracket:
-        ids = tuple(int(m) for m in _INT.findall(bracket.group(1)))
+        try:
+            ids = tuple(int(m) for m in _INT.findall(bracket.group(1)))
+        except ValueError:  # an integer longer than Python converts
+            notes.append(GroundingIssue(IssueKind.MALFORMED_JSON, "STEP2 id is too long to read", step=2))
     elif step2:
         notes.append(GroundingIssue(IssueKind.MALFORMED_JSON, "STEP2 has no bracketed id list", step=2))
 
@@ -153,7 +157,10 @@ def parse_response(text: str, strict: bool = False) -> ParsedResponse:
         if isinstance(obj_id, int) and not isinstance(obj_id, bool):
             final_id = obj_id
         elif isinstance(obj_id, str) and _INT.fullmatch(obj_id.strip()):
-            final_id = int(obj_id)
+            try:
+                final_id = int(obj_id)
+            except ValueError:  # an integer longer than Python converts
+                notes.append(GroundingIssue(IssueKind.MALFORMED_JSON, "STEP4 object_id is too long to read", step=4))
 
     if strict and notes:
         raise UnparseableResponse(text, "; ".join(n.detail for n in notes))

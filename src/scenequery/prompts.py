@@ -1,10 +1,12 @@
 """Prompt assembly under a token budget.
 
 The system prompt is a fixed template with three placeholders
-({scenegraph}, {examples}, {input}). When the serialized scene pushes
-the estimate past the budget, the scene is compacted step by step:
-captions go first, then color/material, then numeric precision, and
-finally whole nodes in ascending lexical relevance to the query.
+({scenegraph}, {examples}, {input}). Every prompt carries the same
+in-context examples: the packaged demonstrations in examples.json, in
+file order. When the serialized scene pushes the estimate past the
+budget, the scene is compacted step by step: captions go first, then
+color/material, then numeric precision, and finally whole nodes in
+ascending lexical relevance to the query.
 
 The numeric step (round_numerics) is recorded to keep the canonical
 action order, but changes no byte: serialization already rounds box
@@ -20,9 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
 
-from .oracle import QueryCategory
 from .scene_model import ObjectNode, SceneGraph, SerializeOptions, node_to_dict, serialize_scene
 
 DEFAULT_TOKEN_BUDGET = 16000
@@ -43,17 +43,6 @@ class BudgetInfeasible(ValueError):
 
 
 @dataclass(frozen=True)
-class InContextExample:
-    question: str
-    answer: str
-    category: QueryCategory
-
-    def __post_init__(self):
-        if not self.question or not self.answer:
-            raise ValueError("example question and answer must be non-empty")
-
-
-@dataclass(frozen=True)
 class PromptBundle:
     system_text: str
     token_estimate: int
@@ -66,55 +55,17 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
+@functools.cache
 def load_template() -> str:
+    # The packaged file does not change while the process runs.
     return resources.files("scenequery.data").joinpath("system_prompt.txt").read_text(encoding="utf-8")
 
 
 @functools.cache
-def _packaged_template() -> str:
-    # The packaged file does not change while the process runs.
-    return load_template()
-
-
-def _load_builtin_examples() -> list[InContextExample]:
+def load_examples() -> str:
+    """The packaged demonstrations, rendered as the template's {examples} text."""
     raw = json.loads(resources.files("scenequery.data").joinpath("examples.json").read_text(encoding="utf-8"))
-    return [
-        InContextExample(question=e["question"], answer=e["answer"], category=QueryCategory(e["category"]))
-        for e in raw
-    ]
-
-
-class ExampleLibrary:
-    """Built-in demonstrations plus user-registered ones per category."""
-
-    def __init__(self):
-        self._builtins = _load_builtin_examples()
-        self._custom: list[InContextExample] = []
-
-    def register(self, example: InContextExample) -> None:
-        self._custom.append(example)
-
-    def select(self, category: QueryCategory) -> list[InContextExample]:
-        # Both built-ins always ship, regardless of category; customs are
-        # appended in registration order when their category matches.
-        return list(self._builtins) + [e for e in self._custom if e.category == category]
-
-
-_DEFAULT_LIBRARY: Optional[ExampleLibrary] = None
-
-
-def select_examples(category: QueryCategory) -> list[InContextExample]:
-    global _DEFAULT_LIBRARY
-    if _DEFAULT_LIBRARY is None:
-        _DEFAULT_LIBRARY = ExampleLibrary()
-    return _DEFAULT_LIBRARY.select(category)
-
-
-def render_examples(examples: list[InContextExample]) -> str:
-    blocks = []
-    for ex in examples:
-        blocks.append(f'QUESTION = "{ex.question}"\n\nANSWER = "{ex.answer}"')
-    return "\n\n".join(blocks)
+    return "\n\n".join(f'QUESTION = "{e["question"]}"\n\nANSWER = "{e["answer"]}"' for e in raw)
 
 
 def render_template(template: str, scene_json: str, examples_text: str, query: str) -> str:
@@ -132,7 +83,7 @@ def options_for_actions(actions: list[str]) -> SerializeOptions:
         omit.add("caption")
     if ACTION_DROP_ATTRIBUTES in actions:
         omit.update({"color", "material"})
-    return SerializeOptions(precision=1, omit=frozenset(omit))
+    return SerializeOptions(omit=frozenset(omit))
 
 
 _WORD = re.compile(r"[a-z0-9]+")
@@ -145,22 +96,14 @@ def _relevance(node: ObjectNode, query_words: set[str]) -> int:
 
 def compact_scene(
     scene: SceneGraph, query: str, budget: int, template_overhead: int
-) -> tuple[SceneGraph, list[str]]:
+) -> tuple[SceneGraph, list[str], str]:
     """Shrink the scene until template_overhead + scene estimate fits budget.
 
-    Reductions are applied in a fixed order and each applied action is
-    recorded. Nodes whose tag occurs verbatim in the query are never
-    pruned; if the budget still cannot be met once everything else is
-    gone, BudgetInfeasible reports the overflow.
-    """
-    kept, actions, _ = _compact(scene, query, budget, template_overhead)
-    return kept, actions
-
-
-def _compact(
-    scene: SceneGraph, query: str, budget: int, template_overhead: int
-) -> tuple[SceneGraph, list[str], str]:
-    """compact_scene, plus the kept scene's JSON under the final options.
+    Returns the kept scene, the applied actions and the kept scene's JSON
+    under those actions' options. Reductions are applied in a fixed order
+    and each applied action is recorded. Nodes whose tag occurs verbatim
+    in the query are never pruned; if the budget still cannot be met once
+    everything else is gone, BudgetInfeasible reports the overflow.
 
     Each node is encoded once for the pruning options; the serialized
     length of the kept nodes is then kept up to date by subtraction, so
@@ -216,23 +159,17 @@ def _compact(
     return SceneGraph(nodes=kept), actions, scene_json
 
 
-def build_prompt(
-    scene: SceneGraph,
-    query: str,
-    examples: list[InContextExample],
-    budget: int = DEFAULT_TOKEN_BUDGET,
-) -> PromptBundle:
+def build_prompt(scene: SceneGraph, query: str, budget: int = DEFAULT_TOKEN_BUDGET) -> PromptBundle:
     """Fill the system template, compacting the scene if needed.
 
     The returned bundle is always within budget; otherwise
     BudgetInfeasible is raised.
     """
-    template = _packaged_template()
-    examples_text = render_examples(examples)
-    overhead = estimate_tokens(render_template(template, "", examples_text, query))
+    template, examples = load_template(), load_examples()
+    overhead = estimate_tokens(render_template(template, "", examples, query))
 
-    scene, actions, scene_json = _compact(scene, query, budget, overhead)
-    system_text = render_template(template, scene_json, examples_text, query)
+    scene, actions, scene_json = compact_scene(scene, query, budget, overhead)
+    system_text = render_template(template, scene_json, examples, query)
     return PromptBundle(
         system_text=system_text,
         token_estimate=estimate_tokens(system_text),

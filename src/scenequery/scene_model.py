@@ -101,13 +101,9 @@ class SceneGraph:
 
 @dataclass(frozen=True)
 class SerializeOptions:
-    """Controls for scene serialization.
+    """Controls for scene serialization: `omit` names the fields left out
+    of the output entirely. Box numbers are always rounded to one decimal."""
 
-    precision: decimal places for bbox numbers (None = exact repr).
-    omit: field names left out of the output entirely.
-    """
-
-    precision: int | None = 1
     omit: frozenset[str] = frozenset()
 
 
@@ -209,19 +205,16 @@ def parse_scene(json_text: str) -> SceneGraph:
     return SceneGraph(nodes=tuple(nodes))
 
 
-def _round(value: float, precision: int | None) -> float | int:
-    if precision is None:
-        return value
-    rounded = round(value, precision)
-    # Keep -0.0 out of the output.
-    return rounded + 0.0
+def _round(value: float) -> float:
+    # One decimal; adding 0.0 keeps -0.0 out of the output.
+    return round(value, 1) + 0.0
 
 
 def node_to_dict(node: ObjectNode, opts: SerializeOptions = SerializeOptions()) -> dict:
     out: dict[str, Any] = {
         "id": node.id,
-        "bbox_extent": [_round(c, opts.precision) for c in node.bbox_extent],
-        "bbox_center": [_round(c, opts.precision) for c in node.bbox_center],
+        "bbox_extent": [_round(c) for c in node.bbox_extent],
+        "bbox_center": [_round(c) for c in node.bbox_center],
         "object_tag": node.object_tag,
     }
     for key in OPTIONAL_TEXT_KEYS:

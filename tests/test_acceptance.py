@@ -43,7 +43,6 @@ from scenequery.prompts import (
     ACTION_PRUNE_NODE,
     ACTION_ROUND_NUMERICS,
     build_prompt,
-    select_examples,
 )
 from scenequery.scene_model import (
     ObjectNode,
@@ -178,13 +177,12 @@ def test_criterion_6_compaction():
         )
     )
     query = f"where is the {scene.nodes[0].object_tag}?"
-    examples = select_examples(QueryCategory.FREEFORM)
 
     # Before compaction the full prompt exceeds the budget.
-    full = build_prompt(scene, query, examples, budget=10**9)
+    full = build_prompt(scene, query, budget=10**9)
     assert full.token_estimate > 16000
 
-    bundle = build_prompt(scene, query, examples, budget=16000)
+    bundle = build_prompt(scene, query, budget=16000)
     assert bundle.token_estimate <= 16000
     assert bundle.compaction_report != ()
 
@@ -268,7 +266,7 @@ def test_criterion_8_determinism():
         prompts = []
         for gen, queries in tasks:
             for q in queries:
-                bundle = build_prompt(gen.scene, q.query_text, select_examples(q.category))
+                bundle = build_prompt(gen.scene, q.query_text)
                 prompts.append(bundle.system_text)
                 prompts.append(oracle_backed_mock(gen.scene, q.structured))
         report = run_eval(tasks, backend="oracle")

@@ -6,7 +6,6 @@ import pytest
 from scenequery.cli import main
 from scenequery.evalharness import EvalConfig, answer
 from scenequery.llm import OracleMockBackend
-from scenequery.oracle import interpret_query
 from scenequery.scene_model import parse_scene
 from conftest import SAMPLE_SCENE_JSON
 
@@ -125,6 +124,50 @@ class TestAsk:
         if strict:
             assert err.startswith("error: unparseable response: STEP4 JSON does not parse")
 
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 3)])
+    @pytest.mark.parametrize(
+        "old, new, note",
+        [
+            ("[27]", "[27, {n}]", "STEP2 id is too long to read"),
+            ('"object_id": 27', '"object_id": {n}', "STEP4 JSON does not parse"),
+            ('"object_id": 27', '"object_id": "{n}"', "STEP4 object_id is too long to read"),
+        ],
+        ids=["step2-list", "step4-number", "step4-string"],
+    )
+    def test_integer_too_long_to_convert(self, couch_pillow_file, tmp_path, capsys, old, new, note, strict, code):
+        reply = (
+            "STEP1 - inferred_query: where is the pillow\n"
+            "STEP2 - relevant_objects: [27]\n"
+            "STEP3 - reason for relevance: named\n"
+            'STEP4 - Final Answer: here {"object_tag": "pillow", "object_id": 27}\n'
+            "STEP-5 - Explanation: done\n"
+        ).replace(old, new.format(n="1" * 4301))
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([reply]), encoding="utf-8")
+        flags = ["--strict"] if strict else []
+        ask = ["ask", couch_pillow_file, "where is the pillow?", "--backend", "mock", "--mock-script", str(script)]
+        assert main(flags + ask) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if strict:
+            assert captured.err.startswith(f"error: unparseable response: {note}")
+
+    def test_live_wrong_shape_body_exits_2(self, couch_pillow_file, monkeypatch, capsys):
+        class WrongShape:
+            status_code, text, headers = 200, "", {}
+
+            def json(self):
+                return {"choices": None}
+
+        class Session:
+            def post(self, *args, **kwargs):
+                return WrongShape()
+
+        monkeypatch.setenv("SCENEGPT_API_KEY", "k")
+        monkeypatch.setattr("scenequery.llm.requests.Session", Session)
+        assert main(["ask", couch_pillow_file, "where is the pillow?", "--backend", "live"]) == 2
+        assert capsys.readouterr().err.startswith("error: unexpected response shape")
+
     def test_infeasible_budget_exits_1(self, couch_pillow_file, capsys):
         assert main(["--budget", "10", "ask", couch_pillow_file, "where is the pillow?"]) == 1
         assert "budget" in capsys.readouterr().err
@@ -134,9 +177,7 @@ class TestAsk:
         assert main(["--format", "json", "ask", couch_pillow_file, query]) == 0
         payload = json.loads(capsys.readouterr().out)
         scene = parse_scene(Path(couch_pillow_file).read_text(encoding="utf-8"))
-        result = answer(
-            scene, query, interpret_query(scene, query).category, OracleMockBackend(scene), EvalConfig()
-        )
+        result = answer(scene, query, OracleMockBackend(scene), EvalConfig())
         assert payload["final_object_id"] == result.parsed.final_object_id == 28
         assert payload["final_text"] == result.parsed.final_text
 

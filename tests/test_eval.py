@@ -2,11 +2,14 @@ import json
 
 import pytest
 
+from scenequery import llm, prompts
 from scenequery.evalharness import (
+    EvalConfig,
     EvalReport,
     Layout,
     SceneRecipe,
     _verdict_from_text,
+    answer,
     generate_queries,
     generate_scene,
     load_lexicon,
@@ -208,3 +211,29 @@ class TestRunEval:
 )
 def test_verdict_from_text_matches_whole_words(text, expected):
     assert _verdict_from_text(text) is expected
+
+
+def test_layers_are_reached_through_their_module_attributes(monkeypatch):
+    """Per-layer tracing replaces `prompts.compact_scene` and `llm.complete`
+    on their modules; a caller that bypasses either would hide its time."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(prompts, "compact_scene", spy("compact_scene", prompts.compact_scene))
+    monkeypatch.setattr(llm, "complete", spy("complete", llm.complete))
+    scene = generate_scene(SceneRecipe(seed=0, node_count=150)).scene
+    query = f"Where is the {scene.nodes[0].object_tag}?"
+
+    bundle = prompts.build_prompt(scene, query, budget=3000)
+    assert any(a.startswith(prompts.ACTION_PRUNE_NODE) for a in bundle.compaction_report)
+    assert calls == ["compact_scene"]
+
+    result = answer(scene, query, OracleMockBackend(scene), EvalConfig(budget=3000))
+    assert result.parsed is not None
+    assert calls == ["compact_scene", "compact_scene", "complete"]

@@ -148,6 +148,18 @@ class TestHttpBackend:
             backend.complete("s", "u")
         assert len(session.requests) == 1
 
+    @pytest.mark.parametrize(
+        "body",
+        [[], {"choices": None}, {"choices": [{"message": None}]}, {"choices": "x"}],
+        ids=["list", "null-choices", "null-message", "string-choices"],
+    )
+    def test_wrong_shape_body_is_llm_error(self, body):
+        session = FakeSession([FakeResponse(200, body)])
+        backend = HttpBackend(LlmConfig(base_url="http://x"), api_key="k", session=session)
+        with pytest.raises(LlmError, match="unexpected response shape"):
+            backend.complete("s", "u")
+        assert len(session.requests) == 1
+
     def test_rejected_credentials(self):
         session = FakeSession([FakeResponse(401, text="bad key")])
         backend = HttpBackend(LlmConfig(base_url="http://x"), api_key="k", session=session)
@@ -215,11 +227,11 @@ class TestOracleBackedMock:
 
 class TestComplete:
     def test_mock_passthrough(self):
-        assert complete(bundle(), LlmConfig(), backend=MockBackend(["canned"]), user_text="q") == "canned"
+        assert complete(bundle(), MockBackend(["canned"]), user_text="q") == "canned"
 
     def test_oracle_backend_via_interpretation(self, couch_pillow_scene):
         backend = OracleMockBackend(couch_pillow_scene)
-        text = complete(bundle(), LlmConfig(), backend=backend, user_text="Is the pillow on top of the white couch?")
+        text = complete(bundle(), backend, user_text="Is the pillow on top of the white couch?")
         parsed = parse_response(text)
         assert parsed.final_object_id == 27
 

@@ -151,9 +151,8 @@ class TestAnswerQuery:
             couch_pillow_scene, StructuredQuery(QueryCategory.ON_TOP_OF, 27, 28)
         )
         assert ans.supported and ans.verdict is True
-        evidence = dict(ans.evidence)
-        assert evidence["vertical_gap"] == pytest.approx(0.05)
-        assert evidence["subject_center"] == pytest.approx((2.9, 2.5, -0.8))
+        assert "vertical gap 0.05" in ans.explanation
+        assert "pillow (id: 27) center [2.9, 2.5, -0.8]" in ans.explanation
 
     def test_size_query(self, couch_pillow_scene):
         ans = answer_query_deterministic(

@@ -250,11 +250,47 @@ class TestValidateGrounding:
         assert [i.step for i in issues] == sorted(i.step for i in issues)
 
 
-@given(st.text(max_size=300))
-def test_total_over_arbitrary_input(text):
+# One digit past Python's default limit on int/str conversion (4,300 digits).
+LONG_INT = "1" * 4301
+LONG_ID_REPLIES = {
+    "step2-list": WELL_FORMED.replace("[0, 5]", f"[0, {LONG_INT}]"),
+    "step4-number": WELL_FORMED.replace('"object_id": 0', f'"object_id": {LONG_INT}'),
+    "step4-string": WELL_FORMED.replace('"object_id": 0', f'"object_id": "{LONG_INT}"'),
+}
+
+
+@pytest.mark.parametrize("name, step", [("step2-list", 2), ("step4-number", 4), ("step4-string", 4)])
+def test_integer_too_long_to_convert_is_malformed(name, step):
+    parsed = parse_response(LONG_ID_REPLIES[name])
+    assert [(n.kind, n.step) for n in parsed.notes] == [(IssueKind.MALFORMED_JSON, step)]
+    if step == 2:
+        assert parsed.relevant_object_ids == () and parsed.final_object_id == 0
+    else:
+        assert parsed.relevant_object_ids == (0, 5) and parsed.final_object_id is None
+    with pytest.raises(UnparseableResponse):
+        parse_response(LONG_ID_REPLIES[name], strict=True)
+
+
+reply_piece = st.one_of(
+    st.text(max_size=30),
+    st.sampled_from(
+        [
+            "STEP1 - inferred_query: ", "STEP2 - relevant_objects: ", "STEP3 - reason for relevance: ",
+            "STEP4 - Final Answer: ", "STEP-5 - Explanation: ", "step 4:", "\n", "[", "]", "{", "}", ", ", '"',
+            '{"object_tag": "vase", "object_id": ', '"object_id": "', "-7", "0", "null", LONG_INT,
+        ]
+    ),
+)
+
+
+@given(st.one_of(st.text(max_size=300), st.lists(reply_piece, max_size=25).map("".join)), st.booleans())
+@example(LONG_ID_REPLIES["step2-list"], False)
+@example(LONG_ID_REPLIES["step4-number"], False)
+@example(LONG_ID_REPLIES["step4-string"], False)
+def test_total_over_arbitrary_input(text, strict):
     """Any string either parses or raises the single Unparseable error."""
     try:
-        parsed = parse_response(text)
+        parsed = parse_response(text, strict=strict)
     except UnparseableResponse:
         return
     assert isinstance(parsed, ParsedResponse)

@@ -1,26 +1,23 @@
+import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scenequery.oracle import QueryCategory
 from scenequery.prompts import (
     ACTION_DROP_ATTRIBUTES,
     ACTION_DROP_CAPTIONS,
     ACTION_PRUNE_NODE,
     ACTION_ROUND_NUMERICS,
     BudgetInfeasible,
-    ExampleLibrary,
-    InContextExample,
     PromptBundle,
     build_prompt,
     compact_scene,
     estimate_tokens,
     load_template,
     options_for_actions,
-    render_examples,
     render_template,
-    select_examples,
 )
 from scenequery.scene_model import NODE_KEYS, ObjectNode, SceneGraph, Vec3, parse_scene, serialize_scene
 
@@ -40,32 +37,44 @@ class TestEstimateTokens:
         assert all(estimate_tokens(text[:i]) <= estimate_tokens(text[: i + 1]) for i in range(100))
 
 
+# The packaged demonstrations, read from the file rather than through the program.
+EXAMPLES_JSON = Path(__file__).resolve().parents[1] / "src" / "scenequery" / "data" / "examples.json"
+
+
+def packaged_examples():
+    return json.loads(EXAMPLES_JSON.read_text(encoding="utf-8"))
+
+
+def reference_examples_text():
+    return "\n\n".join(f'QUESTION = "{e["question"]}"\n\nANSWER = "{e["answer"]}"' for e in packaged_examples())
+
+
+def examples_block(scene, query):
+    """The in-context examples block of the built prompt, up to the query line."""
+    text = build_prompt(scene, query).system_text.split("Following are the in-context examples: ", 1)[1]
+    return text.split("\nQuestion: " + query, 1)[0]
+
+
 class TestSelectExamples:
-    def test_builtins_always_included(self):
-        for category in QueryCategory:
-            examples = select_examples(category)
-            assert len(examples) >= 2
+    def test_builtins_always_included(self, sample_scene_json):
+        examples = packaged_examples()
+        assert [e["category"] for e in examples] == ["RelativePosition", "SizeCompare"]
+        scene = parse_scene(sample_scene_json)
+        for query in ("Which is bigger, the vase or the mirror?", "Is the vase on top of the mirror?", "anything?"):
+            assert examples_block(scene, query) == reference_examples_text()
 
-    def test_size_compare_has_extent_demo(self):
-        examples = select_examples(QueryCategory.SIZE_COMPARE)
-        assert any("bigger" in e.question.lower() for e in examples)
+    def test_size_compare_has_extent_demo(self, sample_scene_json):
+        size_demo = packaged_examples()[1]
+        assert "bigger" in size_demo["question"].lower()
+        block = examples_block(parse_scene(sample_scene_json), "Which is bigger, the vase or the mirror?")
+        assert f'QUESTION = "{size_demo["question"]}"' in block
+        assert "box_extent" in block
 
-    def test_freeform_gets_both_builtins(self):
-        assert len(select_examples(QueryCategory.FREEFORM)) == 2
-
-    def test_custom_registration_appends(self):
-        lib = ExampleLibrary()
-        custom = InContextExample("Is x near y?", "yes", QueryCategory.ON_TOP_OF)
-        lib.register(custom)
-        selected = lib.select(QueryCategory.ON_TOP_OF)
-        assert selected[-1] is custom
-        assert len(selected) == 3
-        # Other categories don't see it.
-        assert custom not in lib.select(QueryCategory.FREEFORM)
-
-    def test_empty_example_rejected(self):
-        with pytest.raises(ValueError):
-            InContextExample("", "answer", QueryCategory.FREEFORM)
+    def test_freeform_gets_both_builtins(self, sample_scene_json):
+        block = examples_block(parse_scene(sample_scene_json), "anything?")
+        assert block.count('QUESTION = "') == 2
+        assert block.count('ANSWER = "') == 2
+        assert block == reference_examples_text()
 
 
 def big_scene(node_count=150, caption_len=320):
@@ -89,7 +98,7 @@ def big_scene(node_count=150, caption_len=320):
 class TestBuildPrompt:
     def test_small_scene_no_compaction(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
-        bundle = build_prompt(scene, "where is the vase?", select_examples(QueryCategory.FREEFORM))
+        bundle = build_prompt(scene, "where is the vase?")
         assert bundle.compaction_report == ()
         assert bundle.included_node_ids == (0, 5)
         assert "where is the vase?" in bundle.system_text
@@ -98,13 +107,12 @@ class TestBuildPrompt:
         assert bundle.token_estimate <= 16000
 
     def test_empty_scene(self):
-        bundle = build_prompt(SceneGraph(nodes=()), "anything here?", select_examples(QueryCategory.FREEFORM))
+        bundle = build_prompt(SceneGraph(nodes=()), "anything here?")
         assert "3D scene description : []" in bundle.system_text
 
     def test_large_scene_compacts(self):
         scene = big_scene()
-        examples = select_examples(QueryCategory.FREEFORM)
-        bundle = build_prompt(scene, "where is the red vase", examples, budget=16000)
+        bundle = build_prompt(scene, "where is the red vase", budget=16000)
         assert bundle.compaction_report != ()
         assert bundle.token_estimate <= 16000
         # the mentioned vase survives
@@ -112,14 +120,13 @@ class TestBuildPrompt:
 
     def test_determinism(self):
         scene = big_scene()
-        examples = select_examples(QueryCategory.FREEFORM)
-        a = build_prompt(scene, "where is the red vase", examples, budget=16000)
-        b = build_prompt(scene, "where is the red vase", examples, budget=16000)
+        a = build_prompt(scene, "where is the red vase", budget=16000)
+        b = build_prompt(scene, "where is the red vase", budget=16000)
         assert a == b
 
     def test_template_placeholders_filled(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
-        bundle = build_prompt(scene, "q", select_examples(QueryCategory.FREEFORM))
+        bundle = build_prompt(scene, "q")
         for placeholder in ("{scenegraph}", "{examples}", "{input}"):
             assert placeholder not in bundle.system_text
 
@@ -127,7 +134,7 @@ class TestBuildPrompt:
 class TestCompactScene:
     def test_noop_when_fitting(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
-        compacted, actions = compact_scene(scene, "q", budget=16000, template_overhead=100)
+        compacted, actions, _ = compact_scene(scene, "q", budget=16000, template_overhead=100)
         assert compacted == scene
         assert actions == []
 
@@ -135,7 +142,7 @@ class TestCompactScene:
         scene = big_scene()
         overhead = 300
         budget = overhead + estimate_tokens(serialize_scene(scene)) // 4
-        compacted, actions = compact_scene(scene, "where is the red vase", budget, overhead)
+        compacted, actions, _ = compact_scene(scene, "where is the red vase", budget, overhead)
         canonical = [ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES, ACTION_ROUND_NUMERICS]
         non_prune = [a for a in actions if not a.startswith(ACTION_PRUNE_NODE)]
         assert non_prune == canonical[: len(non_prune)]
@@ -148,7 +155,7 @@ class TestCompactScene:
         overhead = 300
         # Tight budget: forces deep pruning but the vase must survive.
         budget = overhead + 200
-        compacted, actions = compact_scene(scene, "where is the red vase", budget, overhead)
+        compacted, actions, _ = compact_scene(scene, "where is the red vase", budget, overhead)
         assert any(n.object_tag == "vase" for n in compacted.nodes)
 
     def test_monotone_token_estimate(self):
@@ -242,9 +249,9 @@ def reference_compact_scene(scene, query, budget, template_overhead):
     raise BudgetInfeasible(template_overhead + estimate_tokens(serialize_scene(current, opts)) - budget)
 
 
-def reference_build_prompt(scene, query, examples, budget):
+def reference_build_prompt(scene, query, budget):
     template = load_template()
-    examples_text = render_examples(examples)
+    examples_text = reference_examples_text()
     overhead = estimate_tokens(render_template(template, "", examples_text, query))
     actions = []
     scene_json = serialize_scene(scene)
@@ -258,14 +265,13 @@ def reference_build_prompt(scene, query, examples, budget):
 def outcome(build, scene, query, budget):
     """The bundle, or the overflow and message of BudgetInfeasible."""
     try:
-        return build(scene, query, select_examples(QueryCategory.FREEFORM), budget)
+        return build(scene, query, budget)
     except BudgetInfeasible as exc:
         return ("infeasible", exc.overflow_tokens, str(exc))
 
 
 def overhead_for(query):
-    examples_text = render_examples(select_examples(QueryCategory.FREEFORM))
-    return estimate_tokens(render_template(load_template(), "", examples_text, query))
+    return estimate_tokens(render_template(load_template(), "", reference_examples_text(), query))
 
 
 def scene_tokens(scene, actions):
@@ -368,12 +374,13 @@ def test_build_prompt_matches_reference(data, scene, stop, pick):
     assert outcome(build_prompt, scene, query, budget) == outcome(reference_build_prompt, scene, query, budget)
     overhead = overhead_for(query)
     try:
-        kept, actions = compact_scene(scene, query, budget, overhead)
+        kept, actions, scene_json = compact_scene(scene, query, budget, overhead)
     except BudgetInfeasible:
         return
     reference_kept, reference_actions = reference_compact_scene(scene, query, budget, overhead)
     assert [n.id for n in kept.nodes] == [n.id for n in reference_kept.nodes]
     assert actions == reference_actions
+    assert scene_json == serialize_scene(reference_kept, options_for_actions(reference_actions))
 
 
 def captioned_scene():
