@@ -194,6 +194,9 @@ def cmd_ask(args: argparse.Namespace, cfg: CliConfig) -> int:
 def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
     scene = _read_scene(args.scene)
     backend_kind = args.backend
+    # One backend per kind for the whole session: a list script is consumed
+    # across queries, and a live backend keeps its connections.
+    backends: dict = {}
     print(f"{len(scene.nodes)} nodes loaded; :quit exits, :oracle on|off switches backend")
     for line in sys.stdin:
         query = line.strip()
@@ -205,7 +208,9 @@ def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
             backend_kind = "oracle" if query.endswith("on") else args.backend
             print(f"backend: {backend_kind}")
             continue
-        _run_ask(scene, query, _make_backend(backend_kind, scene, cfg, args.mock_script), cfg)
+        if backend_kind not in backends:
+            backends[backend_kind] = _make_backend(backend_kind, scene, cfg, args.mock_script)
+        _run_ask(scene, query, backends[backend_kind], cfg)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ import functools
 import json
 import random
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -456,25 +457,54 @@ def run_eval(
     cfg: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """`answer` then `score` for every query. The string "oracle" means an
-    OracleMockBackend on each task's scene. Per-record failures are
-    folded into the report; only configuration problems abort the run."""
+    OracleMockBackend on each task's scene. Unparseable and ungrounded
+    replies are folded into the report; backend errors (LlmError) and
+    BudgetInfeasible abort the run.
+
+    A backend that takes concurrent calls (see `llm.Backend`) answers up to
+    its `max_in_flight` queries at once on a thread pool. Records are scored
+    and kept in input order either way, and the first query in input order
+    whose answer raised re-raises that exception."""
     if isinstance(backend, str) and backend != "oracle":
         raise ValueError(f"unknown backend {backend!r}")
+    width = 1 if isinstance(backend, str) else getattr(backend, "max_in_flight", llm_mod.DEFAULT_MAX_IN_FLIGHT)
+    if width > 1:
+        return _run_eval_concurrently(tasks, backend, cfg, width)
     records: list[EvalRecord] = []
     for gen, queries in tasks:
         scene_backend = llm_mod.OracleMockBackend(gen.scene, cfg.oracle) if isinstance(backend, str) else backend
         for q in queries:
-            ans = answer(gen.scene, q.query_text, scene_backend, cfg)
-            records.append(
-                EvalRecord(
-                    seed=gen.recipe.seed,
-                    category=q.category,
-                    query_text=q.query_text,
-                    verdict=score(q, ans),
-                    final_object_id=ans.parsed.final_object_id if ans.parsed else None,
-                    final_object_tag=ans.parsed.final_object_tag if ans.parsed else "",
-                    raw_response=ans.raw,
-                    issues=tuple(str(i) for i in ans.issues),
-                )
-            )
+            records.append(_record(gen, q, answer(gen.scene, q.query_text, scene_backend, cfg)))
     return EvalReport(records=tuple(records))
+
+
+def _run_eval_concurrently(
+    tasks: Sequence[tuple[GeneratedScene, Sequence[GroundTruthQuery]]],
+    backend: llm_mod.Backend,
+    cfg: EvalConfig,
+    width: int,
+) -> EvalReport:
+    jobs = [(gen, q) for gen, queries in tasks for q in queries]
+    if not jobs:
+        return EvalReport(records=())
+    with ThreadPoolExecutor(max_workers=min(width, len(jobs))) as pool:
+        futures = [pool.submit(answer, gen.scene, q.query_text, backend, cfg) for gen, q in jobs]
+        try:
+            answers = [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return EvalReport(records=tuple(_record(gen, q, ans) for (gen, q), ans in zip(jobs, answers)))
+
+
+def _record(gen: GeneratedScene, q: GroundTruthQuery, ans: Answer) -> EvalRecord:
+    return EvalRecord(
+        seed=gen.recipe.seed,
+        category=q.category,
+        query_text=q.query_text,
+        verdict=score(q, ans),
+        final_object_id=ans.parsed.final_object_id if ans.parsed else None,
+        final_object_tag=ans.parsed.final_object_tag if ans.parsed else "",
+        raw_response=ans.raw,
+        issues=tuple(str(i) for i in ans.issues),
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
@@ -69,7 +70,18 @@ class LlmConfig:
         return (self.base_url or os.environ.get(API_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
 
 
+DEFAULT_MAX_IN_FLIGHT = 8
+
+
 class Backend(Protocol):
+    """Turns a system prompt and a user message into a raw reply.
+
+    `complete` may be called from up to `getattr(backend, "max_in_flight",
+    DEFAULT_MAX_IN_FLIGHT)` threads at once. A backend whose replies
+    depend on call order, or that only computes under the interpreter
+    lock, sets `max_in_flight = 1`.
+    """
+
     def complete(self, system_text: str, user_text: str) -> str: ...
 
 
@@ -78,7 +90,9 @@ class HttpBackend:
 
     Connection errors, 5xx and 429 are retried up to `max_retries` times
     with exponential backoff; after a 429 the wait is at least the
-    response's Retry-After seconds."""
+    response's Retry-After seconds. Safe to call from several threads:
+    each thread gets its own `requests.Session`, unless a `session` is
+    injected, which is then used as given by every thread."""
 
     def __init__(
         self,
@@ -89,8 +103,18 @@ class HttpBackend:
     ):
         self.cfg = cfg
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.session = session or requests.Session()
+        self._session = session
+        self._local = threading.local()
         self._sleep = sleep
+
+    @property
+    def session(self) -> requests.Session:
+        if self._session is not None:
+            return self._session
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def complete(self, system_text: str, user_text: str) -> str:
         if not self.api_key:
@@ -150,7 +174,10 @@ def _retry_after_seconds(value: Optional[str]) -> float:
 
 class MockBackend:
     """Deterministic canned responses: a consumed-in-order list, or a
-    substring -> response rule table matched against the user text."""
+    substring -> response rule table matched against the user text.
+    Called from one thread at a time, so a list is consumed in call order."""
+
+    max_in_flight = 1
 
     def __init__(self, script: list[str] | dict[str, str], fallback: Optional[str] = None):
         self._queue = list(script) if isinstance(script, list) else None
@@ -240,7 +267,11 @@ def oracle_backed_mock(
 
 class OracleMockBackend:
     """Backend that answers from the geometry oracle, interpreting the
-    user text when no structured query is supplied."""
+    user text when no structured query is supplied. Its work is Python
+    computation, which threads cannot overlap, so it is called from one
+    thread at a time."""
+
+    max_in_flight = 1
 
     def __init__(self, scene: SceneGraph, cfg: OracleConfig = OracleConfig()):
         self.scene = scene

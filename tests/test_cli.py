@@ -225,6 +225,22 @@ class TestRepl:
         out = capsys.readouterr().out
         assert out.count("Yes, the pillow") == 2
 
+    def test_mock_list_script_consumed_across_queries(self, couch_pillow_file, tmp_path, capsys, monkeypatch):
+        import io
+
+        reply = (
+            "STEP1 - inferred_query: {}\nSTEP2 - relevant_objects: []\nSTEP3 - reason for relevance: none\n"
+            "STEP4 - Final Answer: none\nSTEP-5 - Explanation: none\n"
+        )
+        script = tmp_path / "two.json"
+        script.write_text(json.dumps([reply.format("first"), reply.format("second")]), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO("q1\n:oracle on\nwhere is the pillow?\n:oracle off\nq2\n:quit\n"))
+        assert main(["repl", couch_pillow_file, "--backend", "mock", "--mock-script", str(script)]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("inferred query")]
+        assert lines[0] == "inferred query : first"
+        assert lines[2] == "inferred query : second"
+        assert len(lines) == 3
+
 
 class TestEval:
     def test_oracle_backend_full_marks(self, tmp_path, capsys):
