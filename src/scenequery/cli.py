@@ -145,16 +145,18 @@ def _make_backend(kind: str, scene: SceneGraph, cfg: CliConfig, mock_script_path
     return llm_mod.HttpBackend(cfg.eval.llm)
 
 
+def _pipeline_failure(exc: Exception) -> int:
+    """Print a backend or budget failure as one error line; return its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_IO if isinstance(exc, llm_mod.LlmError) else EXIT_INVALID
+
+
 def _run_ask(scene: SceneGraph, query: str, backend, cfg: CliConfig) -> int:
     """Answer one query, print the result and return its exit code."""
     try:
         result = answer(scene, query, backend, cfg.eval)
-    except llm_mod.LlmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BudgetInfeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except (llm_mod.LlmError, BudgetInfeasible) as exc:
+        return _pipeline_failure(exc)
     parsed, issues = result.parsed, result.issues
     if parsed is None:
         print(f"error: unparseable response: {result.error}", file=sys.stderr)
@@ -221,7 +223,10 @@ def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
         tasks.append((gen, generate_queries(gen, cfg.eval.oracle)))
 
     backend = "oracle" if args.backend == "oracle" else _make_backend(args.backend, tasks[0][0].scene, cfg, args.mock_script)
-    report = run_eval(tasks, backend=backend, cfg=cfg.eval)
+    try:
+        report = run_eval(tasks, backend=backend, cfg=cfg.eval)
+    except (llm_mod.LlmError, BudgetInfeasible) as exc:
+        return _pipeline_failure(exc)
 
     if args.out:
         out_dir = Path(args.out)

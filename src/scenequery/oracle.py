@@ -113,9 +113,44 @@ def _snap(value: float) -> float:
     return round(value, 9)
 
 
-def _distance(a: ObjectNode, b: ObjectNode) -> float:
-    delta = a.bbox_center - b.bbox_center
-    return _snap(math.sqrt(delta.x**2 + delta.y**2 + delta.z**2))
+def _distance(a: Vec3, b: Vec3) -> float:
+    """Snapped distance between two centres. Exactly symmetric: negation
+    is exact and the squares are summed in the same order either way."""
+    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return _snap(math.sqrt(dx**2 + dy**2 + dz**2))
+
+
+# A flat box: (min x, max x, min y, max y, min z, max z, centre z).
+Box = tuple[float, float, float, float, float, float, float]
+
+
+def _box(node: ObjectNode) -> Box:
+    """The node's box as plain floats, computed as `aabb_of` does."""
+    (cx, cy, cz), (ex, ey, ez) = node.bbox_center, node.bbox_extent
+    hx, hy, hz = ex * 0.5, ey * 0.5, ez * 0.5
+    return (cx - hx, cx + hx, cy - hy, cy + hy, cz - hz, cz + hz, cz)
+
+
+def _footprints_overlap(a: Box, b: Box) -> bool:
+    """True if the xy footprints touch or overlap after snapping.
+    Symmetric: swapping a and b tests the same four differences."""
+    for d in (b[1] - a[0], a[1] - b[0], b[3] - a[2], a[3] - b[2]):
+        # A difference >= 0 passes without snapping, as its snap is >= 0 too.
+        if not (d >= 0 or _snap(d) >= 0):
+            return False
+    return True
+
+
+def _rise(a: Box, b: Box) -> float:
+    """Snapped z-centre difference, > 0 when a is higher. Swapping a and
+    b flips its sign exactly: subtraction, negation and rounding to
+    nearest commute with a sign change."""
+    return _snap(a[6] - b[6])
+
+
+def _rests_on(a: Box, b: Box, tolerance: float) -> bool:
+    """True if a's bottom face is within the tolerance of b's top face."""
+    return _snap(abs(a[4] - b[5])) <= tolerance
 
 
 def relative_position(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig()) -> RelativePosition:
@@ -135,7 +170,7 @@ def relative_position(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleCo
         relations.append(SpatialRelation.ABOVE)
     elif dz < 0:
         relations.append(SpatialRelation.BELOW)
-    distance = _distance(a, b)
+    distance = _distance(a.bbox_center, b.bbox_center)
     return RelativePosition(
         delta=delta,
         relations=tuple(relations),
@@ -149,18 +184,12 @@ def on_top_of(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig()) 
     and a's bottom face within the gap tolerance of b's top face."""
     if a.id == b.id:
         raise ValueError(f"on_top_of requires distinct nodes, got id {a.id} twice")
-    box_a, box_b = aabb_of(a), aabb_of(b)
-    overlap = (
-        _snap(box_b.max.x - box_a.min.x) >= 0
-        and _snap(box_a.max.x - box_b.min.x) >= 0
-        and _snap(box_b.max.y - box_a.min.y) >= 0
-        and _snap(box_a.max.y - box_b.min.y) >= 0
+    box_a, box_b = _box(a), _box(b)
+    return (
+        _footprints_overlap(box_a, box_b)
+        and _rise(box_a, box_b) > 0
+        and _rests_on(box_a, box_b, cfg.vertical_gap_tolerance)
     )
-    if not overlap:
-        return False
-    if _snap(a.bbox_center.z - b.bbox_center.z) <= 0:
-        return False
-    return _snap(abs(box_a.min.z - box_b.max.z)) <= cfg.vertical_gap_tolerance
 
 
 def size_compare(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig()) -> SizeComparison:
@@ -192,74 +221,108 @@ def can_contain(outer: ObjectNode, inner: ObjectNode) -> bool:
 
 
 def near(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig()) -> bool:
-    return _distance(a, b) <= cfg.near_threshold
+    return _distance(a.bbox_center, b.bbox_center) <= cfg.near_threshold
 
 
 def derive_edges(scene: SceneGraph, cfg: OracleConfig = OracleConfig()) -> list[tuple[int, SpatialRelation, int]]:
     """OnTopOf/Near edges over every ordered node pair.
 
-    Only candidate pairs reach `on_top_of` and `near`: a hash grid over
-    the centres finds the pairs that may be near, and a sweep over the
-    boxes in min-x order finds the pairs whose footprints may overlap.
-    Neither filter drops a pair its predicate would accept, so the
-    result equals testing every ordered pair.
+    Only candidate pairs are tested, each unordered pair at most once
+    per relation: a hash grid over the centres finds the pairs that may
+    be near, and a sweep over the boxes in min-x order, bucketed by y
+    band, finds the pairs whose footprints may overlap. Neither filter
+    drops a pair its predicate would accept, and the tests are the ones
+    `near` and `on_top_of` make, so the result equals testing every
+    ordered pair with them.
 
     Output is sorted by (subject id, relation name, object id) so the
     edge list is stable for a given scene.
     """
-    edges = _near_edges(scene.nodes, cfg) + _on_top_of_edges(scene.nodes, cfg)
-    edges.sort(key=lambda e: (e[0], e[1].value, e[2]))
+    edges = _near_edges(scene.nodes, cfg.near_threshold)
+    edges += _on_top_of_edges(scene.nodes, cfg.vertical_gap_tolerance)
+    # SpatialRelation members compare as their str values.
+    edges.sort()
     return edges
 
 
-_NEIGHBOUR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
+# The neighbour cells after a cell in key order: each pair of adjacent
+# cells is met once, from the earlier of the two.
+_LATER_CELLS = tuple(o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0, 0, 0))
 
 
-def _near_edges(nodes: tuple[ObjectNode, ...], cfg: OracleConfig) -> list[tuple[int, SpatialRelation, int]]:
+def _near_edges(nodes: tuple[ObjectNode, ...], threshold: float) -> list[tuple[int, SpatialRelation, int]]:
     # `near` accepts centres up to half a snapping step (5e-10) farther
     # apart than the threshold, and rounding `c / cell` shifts a centre
     # by up to 2**-53 * |c| in distance. A cell wider than the threshold
     # by more than both keeps every near pair's centres in the same or
-    # adjacent cells on each axis.
+    # adjacent cells on each axis. Each pair is tested once, from its
+    # earlier node in a shared cell or from the earlier of two adjacent
+    # cells; the distance is symmetric, so both directed edges follow.
     reach = max((abs(c) for n in nodes for c in n.bbox_center), default=0.0)
-    cell = (cfg.near_threshold + 1e-9) * (1 + 2**-40) + reach * 2**-40
-    grid: dict[tuple[int, ...], list[ObjectNode]] = defaultdict(list)
-    keys = [tuple(math.floor(c / cell) for c in n.bbox_center) for n in nodes]
-    for node, key in zip(nodes, keys):
-        grid[key].append(node)
+    cell = (threshold + 1e-9) * (1 + 2**-40) + reach * 2**-40
+    cells: dict[tuple[int, int, int], list[tuple[int, Vec3]]] = defaultdict(list)
+    for n in nodes:
+        x, y, z = n.bbox_center
+        cells[math.floor(x / cell), math.floor(y / cell), math.floor(z / cell)].append((n.id, n.bbox_center))
     edges = []
-    for a, (i, j, k) in zip(nodes, keys):
-        for di, dj, dk in _NEIGHBOUR_CELLS:
-            for b in grid.get((i + di, j + dj, k + dk), ()):
-                if b.id != a.id and near(a, b, cfg):
-                    edges.append((a.id, SpatialRelation.NEAR, b.id))
+    for (i, j, k), members in cells.items():
+        adjacent = [b for di, dj, dk in _LATER_CELLS for b in cells.get((i + di, j + dj, k + dk), ())]
+        for rank, (a_id, a) in enumerate(members, 1):
+            for b_id, b in members[rank:] + adjacent:
+                if _distance(a, b) <= threshold:
+                    edges.append((a_id, SpatialRelation.NEAR, b_id))
+                    edges.append((b_id, SpatialRelation.NEAR, a_id))
     return edges
 
 
-def _on_top_of_edges(nodes: tuple[ObjectNode, ...], cfg: OracleConfig) -> list[tuple[int, SpatialRelation, int]]:
-    # Sweep the boxes in min-x order. A box leaves the active list once
-    # the snapped x difference that `on_top_of` tests goes negative; that
-    # difference only falls as min x grows, so the box could overlap no
-    # later box either. The y overlap is prefiltered the same way. A
-    # difference >= 0 passes without snapping, as its snap is >= 0 too.
-    spans = []
-    for n in nodes:
-        box = aabb_of(n)
-        spans.append((box.min.x, box.max.x, box.min.y, box.max.y, n))
-    spans.sort(key=lambda span: span[0])
+def _on_top_of_edges(nodes: tuple[ObjectNode, ...], tolerance: float) -> list[tuple[int, SpatialRelation, int]]:
+    # Sweep the boxes in min-x order. A box leaves the active lists once
+    # the snapped x difference that `_footprints_overlap` tests goes
+    # negative; that difference only falls as min x grows, so the box
+    # could overlap no later box either.
+    #
+    # Active boxes sit in y bands. The y test passes only if each box's
+    # y span, widened by half a snapping step (5e-10), meets the other's.
+    # Each box is filed under every band its y span meets once widened
+    # by `margin`, which covers that half step plus the rounding of
+    # `y + margin` (at most 2**-53 * |y|), so two boxes the y test could
+    # pass share a band. Flooring `y / width` is monotone in y, so their
+    # shared bands run up from the later of their first bands, and the
+    # pair is tested in that band only. With the band width at least the
+    # mean y extent, the boxes fill about three bands each on average,
+    # however wide one of them is.
+    boxes = [(_box(n), n.id) for n in nodes]
+    if len(boxes) < 2:
+        return []
+    reach = max(abs(y) for box, _ in boxes for y in box[2:4])
+    if reach < 2.0**1000:
+        margin = 1e-9 + reach * 2**-40
+        width = max(sum(box[3] - box[2] for box, _ in boxes) / len(boxes), margin)
+        spans = [
+            (box, box_id, math.floor((box[2] - margin) / width), math.floor((box[3] + margin) / width))
+            for box, box_id in boxes
+        ]
+    else:
+        # Faces this close to the float limit may be infinite or overflow
+        # once widened, so one band holds every box.
+        spans = [(box, box_id, 0, 0) for box, box_id in boxes]
+    spans.sort(key=lambda span: span[0][0])
+    bands: dict[int, list[tuple[Box, int, int, int]]] = defaultdict(list)
     edges = []
-    active: list[tuple[float, float, float, float, ObjectNode]] = []
     for span in spans:
-        min_x, _, min_y, max_y, a = span
-        active = [s for s in active if s[1] - min_x >= 0 or _snap(s[1] - min_x) >= 0]
-        for _, _, b_min_y, b_max_y, b in active:
-            dy_low, dy_high = b_max_y - min_y, max_y - b_min_y
-            if (dy_low >= 0 or _snap(dy_low) >= 0) and (dy_high >= 0 or _snap(dy_high) >= 0):
-                if on_top_of(a, b, cfg):
-                    edges.append((a.id, SpatialRelation.ON_TOP_OF, b.id))
-                if on_top_of(b, a, cfg):
-                    edges.append((b.id, SpatialRelation.ON_TOP_OF, a.id))
-        active.append(span)
+        a, a_id, first, last = span
+        min_x = a[0]
+        for band in range(first, last + 1):
+            active = [s for s in bands[band] if s[0][1] - min_x >= 0 or _snap(s[0][1] - min_x) >= 0]
+            for b, b_id, b_first, _ in active:
+                if (band == first or band == b_first) and _footprints_overlap(a, b):
+                    rise = _rise(a, b)
+                    if rise > 0 and _rests_on(a, b, tolerance):
+                        edges.append((a_id, SpatialRelation.ON_TOP_OF, b_id))
+                    elif rise < 0 and _rests_on(b, a, tolerance):
+                        edges.append((b_id, SpatialRelation.ON_TOP_OF, a_id))
+            active.append(span)
+            bands[band] = active
     return edges
 
 

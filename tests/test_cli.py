@@ -6,8 +6,10 @@ import pytest
 from scenequery.cli import main
 from scenequery.evalharness import EvalConfig, answer
 from scenequery.llm import OracleMockBackend
+from scenequery.oracle import OracleConfig
 from scenequery.scene_model import parse_scene
 from conftest import SAMPLE_SCENE_JSON
+from test_oracle import brute_force_edges, multi_room_scene
 
 
 @pytest.fixture
@@ -80,6 +82,24 @@ class TestDescribe:
         assert main(["--format", "json", "describe", couch_pillow_file, "--relations"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [27, "OnTopOf", 28] in payload["edges"]
+
+    def test_json_bytes_on_multi_room_scene(self, tmp_path, capsys):
+        scene = multi_room_scene(rooms=6)
+        rows = [
+            {
+                "id": n.id,
+                "object_tag": n.object_tag,
+                "bbox_center": list(n.bbox_center),
+                "bbox_extent": list(n.bbox_extent),
+            }
+            for n in scene.nodes
+        ]
+        path = tmp_path / "rooms.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        assert main(["--format", "json", "describe", str(path), "--relations"]) == 0
+        edges = [[s, rel.value, o] for s, rel, o in brute_force_edges(scene, OracleConfig())]
+        expected = json.dumps({"nodes": rows, "edges": edges}, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected
 
 
 class TestAsk:
@@ -256,6 +276,24 @@ class TestEval:
                 assert row["incorrect"] == 0 and row["ungrounded"] == 0 and row["unparseable"] == 0
         assert (out_dir / "records.jsonl").exists()
         assert (out_dir / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["eval", "--backend", "live", "--scenes", "1"], 2, "error: no API key"),
+            (["--budget", "50", "eval", "--backend", "oracle", "--scenes", "1"], 1, "error: prompt exceeds token budget"),
+        ],
+        ids=["live_without_key", "infeasible_budget"],
+    )
+    def test_failure_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, code, message):
+        monkeypatch.delenv("SCENEGPT_API_KEY", raising=False)
+        out_dir = tmp_path / "report"
+        assert main(argv + ["--out", str(out_dir)]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out_dir.exists()
 
 
 class TestCompact:

@@ -275,7 +275,8 @@ def boundary_scenes(draw):
     the offset is zero, a grid step, the near threshold (or its 0.6 and
     0.8 parts, which make a diagonal of exactly the threshold), the
     half-extent sum at which footprints touch, or in z the height at
-    which the gap equals the tolerance.
+    which the gap equals the tolerance. Ids are sparse and in no
+    particular order.
     """
     cfg = OracleConfig(
         near_threshold=draw(st.sampled_from([1.0, 0.05, 0.3])),
@@ -284,8 +285,10 @@ def boundary_scenes(draw):
     t, tol = cfg.near_threshold, cfg.vertical_gap_tolerance
     extent = st.integers(0, 12).map(lambda k: k / 10)
     coord = st.integers(-60, 60).map(lambda k: k / 20)
+    count = draw(st.integers(1, 24))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=count, max_size=count, unique=True))
     nodes: list[ObjectNode] = []
-    for i in range(draw(st.integers(1, 24))):
+    for i in ids:
         ext = Vec3(draw(extent), draw(extent), draw(extent))
         if not nodes:
             centre = Vec3(draw(coord), draw(coord), draw(coord))
@@ -319,8 +322,9 @@ def test_derive_edges_matches_brute_force_on_boundaries(scene_cfg):
 
 
 def multi_room_scene(rooms: int = 4, per_room: int = 30) -> SceneGraph:
-    """Rooms 4 m wide at a 5 m pitch: furniture on the floor, boxes
-    stacked on it touching, 0.1 m or 0.2 m above, and small floor items."""
+    """Rooms 4 m wide at a 5 m pitch, two to a row: furniture on the
+    floor, boxes stacked on it touching, 0.1 m or 0.2 m above, and small
+    floor items."""
     rng = random.Random(7)
     nodes: list[ObjectNode] = []
 
@@ -355,6 +359,46 @@ def test_multi_room_scene_matches_brute_force():
     assert len(scene.nodes) == 120
     assert {rel for _, rel, _ in edges} == {SpatialRelation.ON_TOP_OF, SpatialRelation.NEAR}
     assert edges == brute_force_edges(scene, cfg)
+
+
+def test_three_rows_of_rooms_match_brute_force():
+    # Rows 5 m apart in y put boxes in several y bands at every x.
+    scene = multi_room_scene(rooms=6)
+    moved = translated(scene, Vec3(123.4, -56.7, 8.9))
+    for cfg in (OracleConfig(), OracleConfig(near_threshold=0.3, vertical_gap_tolerance=0.05)):
+        assert derive_edges(scene, cfg) == brute_force_edges(scene, cfg)
+        assert derive_edges(moved, cfg) == brute_force_edges(moved, cfg)
+
+
+def test_one_wide_footprint_matches_brute_force():
+    # A floor slab under all six rooms, far wider than any other box,
+    # spans every y band; each floor item rests on it.
+    rooms = multi_room_scene(rooms=6)
+    slab = box(10_000, (12.0, 17.0, 0.2), (4.5, 7.0, -0.1), "floor")
+    scene = SceneGraph(nodes=(slab,) + rooms.nodes)
+    cfg = OracleConfig()
+    edges = derive_edges(scene, cfg)
+    on_slab = [s for s, rel, o in edges if rel is SpatialRelation.ON_TOP_OF and o == slab.id]
+    assert len(on_slab) > 60
+    assert edges == brute_force_edges(scene, cfg)
+
+
+def test_footprints_touching_across_a_band_boundary():
+    # 3e-10 apart in y, the footprints still touch after snapping, and
+    # the y band boundary at 0 lies in the gap between them.
+    lower = box(1, (1, 1, 1), (0, -0.5 - 3e-10, 0))
+    upper = box(2, (1, 1, 1), (0, 0.5, 1))
+    scene = SceneGraph(nodes=(lower, upper))
+    cfg = OracleConfig()
+    assert derive_edges(scene, cfg) == brute_force_edges(scene, cfg) == [(2, SpatialRelation.ON_TOP_OF, 1)]
+
+
+def test_box_face_at_infinity():
+    # The slab's max y overflows to infinity; the y bands cannot split it.
+    scene = SceneGraph(nodes=(box(1, (1, 1.6e308, 1), (0, 1e308, 0)), box(2, (1, 1, 1), (0, 1e308, 0.9))))
+    cfg = OracleConfig()
+    assert derive_edges(scene, cfg) == brute_force_edges(scene, cfg)
+    assert (2, SpatialRelation.ON_TOP_OF, 1) in brute_force_edges(scene, cfg)
 
 
 def translated(scene: SceneGraph, offset: Vec3) -> SceneGraph:
