@@ -81,9 +81,13 @@ def _read_scene(path: str) -> SceneGraph:
         raise SystemExit(EXIT_INVALID)
 
 
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _emit(payload: dict, text: str, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print(text)
 
@@ -106,29 +110,35 @@ def cmd_validate(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 def cmd_describe(args: argparse.Namespace, cfg: CliConfig) -> int:
     scene = _read_scene(args.scene)
-    node_rows = [
-        {
-            "id": n.id,
-            "object_tag": n.object_tag,
-            "bbox_center": list(n.bbox_center),
-            "bbox_extent": list(n.bbox_extent),
+    edges = derive_edges(scene, cfg.eval.oracle) if args.relations else None
+    # Only the output that is printed is built.
+    if cfg.output_format == "json":
+        payload: dict = {
+            "nodes": [
+                {
+                    "id": n.id,
+                    "object_tag": n.object_tag,
+                    "bbox_center": list(n.bbox_center),
+                    "bbox_extent": list(n.bbox_extent),
+                }
+                for n in scene.nodes
+            ]
         }
-        for n in scene.nodes
-    ]
+        if edges is not None:
+            payload["edges"] = [[s, rel.value, o] for s, rel, o in edges]
+        _print_json(payload)
+        return EXIT_OK
     lines = [
         f"{n.id:>4}  {n.object_tag:<20} center {list(n.bbox_center)}  extent {list(n.bbox_extent)}"
         for n in scene.nodes
     ]
-    payload: dict = {"nodes": node_rows}
-    if args.relations:
-        edges = derive_edges(scene, cfg.eval.oracle)
-        payload["edges"] = [[s, rel.value, o] for s, rel, o in edges]
+    if edges is not None:
         lines.append("")
         lines.append("relations:")
         lines.extend(f"  {s} {rel.value} {o}" for s, rel, o in edges)
         if not edges:
             lines.append("  (none)")
-    _emit(payload, "\n".join(lines), cfg.output_format)
+    print("\n".join(lines))
     return EXIT_OK
 
 

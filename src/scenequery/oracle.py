@@ -115,9 +115,14 @@ def _snap(value: float) -> float:
 
 def _distance(a: Vec3, b: Vec3) -> float:
     """Snapped distance between two centres. Exactly symmetric: negation
-    is exact and the squares are summed in the same order either way."""
+    is exact and the squares are summed in the same order either way.
+    A difference over about 1.3e154 has no finite square; math.hypot then
+    gives the distance, which is far past any near threshold."""
     dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
-    return _snap(math.sqrt(dx**2 + dy**2 + dz**2))
+    try:
+        return _snap(math.sqrt(dx**2 + dy**2 + dz**2))
+    except OverflowError:
+        return _snap(math.hypot(dx, dy, dz))
 
 
 # A flat box: (min x, max x, min y, max y, min z, max z, centre z).

@@ -10,8 +10,12 @@ ascending lexical relevance to the query.
 
 The numeric step (round_numerics) is recorded to keep the canonical
 action order, but changes no byte: serialization already rounds box
-numbers to one decimal. Pruning encodes each node once and tracks the
-scene's serialized length by subtraction, so it never re-serializes.
+numbers to one decimal. Each node is encoded once per scene, on the
+scene's first serialization, and the encodings are shared by every later
+prompt on that scene: by all of `run_eval`'s queries on it, and by the
+full, caption-less and attribute-less forms that compaction tries.
+Pruning tracks the scene's serialized length by subtraction, so it never
+re-serializes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .scene_model import ObjectNode, SceneGraph, SerializeOptions, node_to_dict, serialize_scene
+from .scene_model import ObjectNode, SceneGraph, SerializeOptions, encoded_nodes, serialize_scene
 
 DEFAULT_TOKEN_BUDGET = 16000
 
@@ -105,9 +109,10 @@ def compact_scene(
     in the query are never pruned; if the budget still cannot be met once
     everything else is gone, BudgetInfeasible reports the overflow.
 
-    Each node is encoded once for the pruning options; the serialized
-    length of the kept nodes is then kept up to date by subtraction, so
-    a fit check costs O(1) however many nodes are pruned.
+    The nodes' JSON for the pruning options comes from the scene's
+    serialization cache; the serialized length of the kept nodes is kept
+    up to date by subtraction, so a fit check costs O(1) however many
+    nodes are pruned.
     """
 
     def overflow(scene_length: int) -> int:
@@ -124,9 +129,8 @@ def compact_scene(
 
     actions = [ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES]
     opts = options_for_actions(actions)
-    # json.dumps of a list is "[" + ", ".join(items) + "]", items encoded
-    # as json.dumps encodes them alone: the same bytes as serialize_scene.
-    encoded = {n.id: json.dumps(node_to_dict(n, opts)) for n in scene.nodes}
+    # The scene JSON is "[" + ", ".join(these) + "]", as serialize_scene writes it.
+    encoded = dict(zip((n.id for n in scene.nodes), encoded_nodes(scene, opts)))
     length = len(", ".join(encoded.values())) + 2
     pruned: set[int] = set()
     if overflow(length) > 0:

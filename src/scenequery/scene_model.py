@@ -8,9 +8,11 @@ derived by the oracle, never stored in the file format.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
 # JSON keys, in canonical output order.
@@ -88,6 +90,8 @@ class SceneGraph:
                     raise SceneError(f"duplicate node id {n.id}")
                 seen.add(n.id)
         object.__setattr__(self, "_by_id", by_id)
+        # omit set -> each node's JSON object; filled by `encoded_nodes`.
+        object.__setattr__(self, "_json_by_omit", {})
 
     def node(self, node_id: int) -> ObjectNode:
         try:
@@ -97,6 +101,16 @@ class SceneGraph:
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._by_id
+
+    # The serialization cache (`_encoded_fields`, `_json_by_omit`) fills on
+    # the first serialization and is no dataclass field, so equality, hash
+    # and repr leave it out. Each entry is a pure function of the immutable
+    # nodes (and of its omit set), assigned once: threads that race to fill
+    # one compute equal values, and either assignment is correct. (Python
+    # 3.11's cached_property locks; 3.12+ may compute it twice.)
+    @functools.cached_property
+    def _encoded_fields(self) -> tuple[_NodeFields, ...]:
+        return tuple(_encode_fields(n) for n in self.nodes)
 
 
 @dataclass(frozen=True)
@@ -210,26 +224,66 @@ def _round(value: float) -> float:
     return round(value, 1) + 0.0
 
 
-def node_to_dict(node: ObjectNode, opts: SerializeOptions = SerializeOptions()) -> dict:
-    out: dict[str, Any] = {
-        "id": node.id,
-        "bbox_extent": [_round(c) for c in node.bbox_extent],
-        "bbox_center": [_round(c) for c in node.bbox_center],
-        "object_tag": node.object_tag,
-    }
-    for key in OPTIONAL_TEXT_KEYS:
-        out[key] = getattr(node, key)
-    for key in opts.omit:
-        out.pop(key, None)
-    for key, value in node.extra:
-        out[key] = value
+# A node's encoded items: '"key": value' for each of NODE_KEYS in order,
+# then (key, '"key": value') for each of its extras in order.
+_NodeFields = tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
+
+
+def _encode_fields(node: ObjectNode) -> _NodeFields:
+    """Each item encoded once, as json.dumps writes it inside the node's
+    object."""
+    # json writes an int that is not a bool as its repr.
+    node_id = str(node.id) if type(node.id) is int else json.dumps(node.id)
+    core = (
+        '"id": ' + node_id,
+        '"bbox_extent": ' + _encode_vec3(node.bbox_extent),
+        '"bbox_center": ' + _encode_vec3(node.bbox_center),
+        '"object_tag": ' + encode_basestring_ascii(node.object_tag),
+        '"caption": ' + encode_basestring_ascii(node.caption),
+        '"color": ' + encode_basestring_ascii(node.color),
+        '"material": ' + encode_basestring_ascii(node.material),
+    )
+    # json.dumps of a one-item dict is "{" + that item + "}".
+    extras = tuple((key, json.dumps({key: value})[1:-1]) for key, value in node.extra)
+    return core, extras
+
+
+def _encode_vec3(v: Vec3) -> str:
+    """json.dumps of the rounded components. json writes a finite float as
+    float.__repr__ does; only nan and infinities, the sole reprs with an
+    "n", are written otherwise, and those go through json.dumps."""
+    rounded = [_round(c) for c in v]
+    text = "[" + ", ".join(map(float.__repr__, rounded)) + "]"
+    return json.dumps(rounded) if "n" in text else text
+
+
+def _node_json(fields: _NodeFields, omit: frozenset[str]) -> str:
+    core, extras = fields
+    if not extras:
+        return "{" + ", ".join([item for key, item in zip(NODE_KEYS, core) if key not in omit]) + "}"
+    # Extras are never omitted. As dict entries, an extra replaces a kept
+    # key's item in place and is appended otherwise; a repeated extra key
+    # keeps its first place and its last value.
+    items = {key: item for key, item in zip(NODE_KEYS, core) if key not in omit}
+    items.update(extras)
+    return "{" + ", ".join(items.values()) + "}"
+
+
+def encoded_nodes(scene: SceneGraph, opts: SerializeOptions = SerializeOptions()) -> tuple[str, ...]:
+    """Each node's JSON object under `opts`, in node order: the items of
+    serialize_scene's array. Each node is encoded once per scene, and each
+    omit set is joined once per scene."""
+    omit = frozenset(opts.omit)
+    out = scene._json_by_omit.get(omit)
+    if out is None:
+        out = scene._json_by_omit[omit] = tuple(_node_json(f, omit) for f in scene._encoded_fields)
     return out
 
 
 def serialize_scene(scene: SceneGraph, opts: SerializeOptions = SerializeOptions()) -> str:
-    """Serialize to the canonical JSON array, keys in fixed order."""
-    payload = [node_to_dict(n, opts) for n in scene.nodes]
-    return json.dumps(payload)
+    """Serialize to the canonical JSON array, keys in fixed order: the
+    bytes json.dumps writes for a list of node objects."""
+    return "[" + ", ".join(encoded_nodes(scene, opts)) + "]"
 
 
 def aabb_of(node: ObjectNode) -> Aabb:

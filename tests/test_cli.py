@@ -83,7 +83,9 @@ class TestDescribe:
         payload = json.loads(capsys.readouterr().out)
         assert [27, "OnTopOf", 28] in payload["edges"]
 
-    def test_json_bytes_on_multi_room_scene(self, tmp_path, capsys):
+    @staticmethod
+    def rooms_file(tmp_path):
+        """A six-room scene, its describe rows and the path of its file."""
         scene = multi_room_scene(rooms=6)
         rows = [
             {
@@ -96,10 +98,59 @@ class TestDescribe:
         ]
         path = tmp_path / "rooms.json"
         path.write_text(json.dumps(rows), encoding="utf-8")
-        assert main(["--format", "json", "describe", str(path), "--relations"]) == 0
+        return scene, rows, str(path)
+
+    def test_json_bytes_on_multi_room_scene(self, tmp_path, capsys):
+        scene, rows, path = self.rooms_file(tmp_path)
+        assert main(["--format", "json", "describe", path, "--relations"]) == 0
         edges = [[s, rel.value, o] for s, rel, o in brute_force_edges(scene, OracleConfig())]
         expected = json.dumps({"nodes": rows, "edges": edges}, indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
+
+    def test_text_bytes_on_multi_room_scene(self, tmp_path, capsys):
+        scene, rows, path = self.rooms_file(tmp_path)
+        assert main(["describe", path, "--relations"]) == 0
+        edges = brute_force_edges(scene, OracleConfig())
+        assert edges
+        lines = [
+            f"{r['id']:>4}  {r['object_tag']:<20} center {r['bbox_center']}  extent {r['bbox_extent']}" for r in rows
+        ]
+        lines += ["", "relations:"] + [f"  {s} {rel.value} {o}" for s, rel, o in edges]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_text_without_relations(self, tmp_path, capsys):
+        _, rows, path = self.rooms_file(tmp_path)
+        assert main(["describe", path]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == len(rows) and "relations:" not in out
+
+
+def far_apart_file(tmp_path, x_cup, x_vase):
+    nodes = [
+        {"id": i, "bbox_extent": [1, 1, 1], "bbox_center": [x, 0, 0], "object_tag": tag}
+        for i, (tag, x) in enumerate([("cup", x_cup), ("vase", x_vase)])
+    ]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(nodes), encoding="utf-8")
+    return str(path)
+
+
+class TestFarApartCentres:
+    """Centre differences past about 1.3e154 have no finite square."""
+
+    def test_ask_relative_position(self, tmp_path, capsys):
+        path = far_apart_file(tmp_path, 0, 1e200)
+        assert main(["ask", path, "where is the cup with respect to the vase?"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "distance 1e+200" in captured.out
+
+    def test_describe_relations_in_adjacent_cells(self, tmp_path, capsys):
+        path = far_apart_file(tmp_path, 1e200, 1.0000000000001e200)
+        assert main(["describe", path, "--relations"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.out.endswith("relations:\n  (none)\n")
 
 
 class TestAsk:

@@ -22,6 +22,7 @@ from scenequery.llm import (
 )
 from scenequery.scene_model import serialize_scene
 from test_llm import FakeResponse, ok_response
+from test_scene_model import reference_serialize_scene
 
 WAIT_S = 10.0
 
@@ -92,6 +93,37 @@ class TestRecordOrder:
         assert concurrent.to_jsonl() == sequential.to_jsonl()
         oracle = run_eval(tasks, backend="oracle")
         assert concurrent.to_jsonl() == oracle.to_jsonl()
+
+
+class PromptRecorder:
+    """Records each (user text, system text) pair; replies with no steps."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, system_text, user_text):
+        self.prompts.append((user_text, system_text))
+        return "a reply with no steps"
+
+
+def test_concurrent_prompts_on_cold_scenes_equal_sequential():
+    """Up to 8 threads build prompts on scenes none has serialized yet, so
+    they race to fill each scene's serialization cache."""
+    sequential = PromptRecorder()
+    run_eval(tasks_for(range(4)), backend=OneAtATime(sequential))
+    concurrent = PromptRecorder()
+    tasks = tasks_for(range(4))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a racy lazy set-up would show
+    try:
+        run_eval(tasks, backend=concurrent)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(concurrent.prompts) == len(query_texts(tasks))
+    assert sorted(concurrent.prompts) == sorted(sequential.prompts)
+    for gen, queries in tasks:
+        scene_json = reference_serialize_scene(gen.scene)
+        assert sum(scene_json in text for _, text in concurrent.prompts) == len(queries)
 
 
 class CountingBackend:

@@ -1,8 +1,10 @@
+import collections
 import json
 
 import pytest
 
-from scenequery import llm, prompts
+from scenequery import llm, prompts, scene_model
+from scenequery.cli import main
 from scenequery.evalharness import (
     EvalConfig,
     EvalReport,
@@ -237,3 +239,44 @@ def test_layers_are_reached_through_their_module_attributes(monkeypatch):
     result = answer(scene, query, OracleMockBackend(scene), EvalConfig(budget=3000))
     assert result.parsed is not None
     assert calls == ["compact_scene", "compact_scene", "complete"]
+
+
+class TestSceneEncodedOnce:
+    """A scene encodes each node on its first serialization and reuses the
+    pieces for every later prompt on it."""
+
+    @pytest.fixture
+    def encodings(self, monkeypatch):
+        counts = collections.Counter()
+        original = scene_model._encode_fields
+
+        def counting(node):
+            counts[node.id] += 1
+            return original(node)
+
+        monkeypatch.setattr(scene_model, "_encode_fields", counting)
+        return counts
+
+    def test_run_eval_over_one_scene(self, encodings):
+        [(gen, queries)] = tasks_for([3])
+        assert len(queries) >= 10
+        report = run_eval([(gen, queries)], backend="oracle")
+        assert len(report.records) == len(queries)
+        assert encodings == {n.id: 1 for n in gen.scene.nodes}
+
+    def test_pruning_prompts(self, encodings):
+        # The full, caption-less and attribute-less forms share one encoding.
+        scene = generate_scene(SceneRecipe(seed=0, node_count=150)).scene
+        for node in scene.nodes[:3]:
+            bundle = prompts.build_prompt(scene, f"Where is the {node.object_tag}?", budget=3000)
+            assert any(a.startswith(prompts.ACTION_PRUNE_NODE) for a in bundle.compaction_report)
+        assert encodings == {n.id: 1 for n in scene.nodes}
+
+    def test_describe_and_validate_encode_nothing(self, encodings, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(serialize_scene(generate_scene(SceneRecipe(seed=1)).scene), encoding="utf-8")
+        encodings.clear()
+        assert main(["describe", str(path), "--relations"]) == 0
+        assert main(["--format", "json", "describe", str(path)]) == 0
+        assert main(["validate", str(path)]) == 0
+        assert not encodings

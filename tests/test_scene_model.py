@@ -1,17 +1,20 @@
+import itertools
 import json
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scenequery.scene_model import (
     NODE_KEYS,
+    OPTIONAL_TEXT_KEYS,
     ObjectNode,
     SceneError,
     SceneGraph,
     SerializeOptions,
     Vec3,
     aabb_of,
+    encoded_nodes,
     parse_scene,
     scene_issues,
     serialize_scene,
@@ -123,6 +126,7 @@ class TestSceneGraph:
 
     def test_index_is_not_part_of_value(self, couch, pillow):
         one, two = SceneGraph(nodes=(couch, pillow)), SceneGraph(nodes=(couch, pillow))
+        serialize_scene(one)  # fills one's serialization cache, not two's
         assert one == two and hash(one) == hash(two)
         assert one != SceneGraph(nodes=(pillow, couch))
         assert repr(one) == f"SceneGraph(nodes={(couch, pillow)!r})"
@@ -238,3 +242,97 @@ def test_scene_issues_collects_all():
     count, issues = scene_issues(json.dumps(nodes))
     assert count == 3
     assert len(issues) == 2
+
+
+# --- reference serialization -------------------------------------------------
+# The straightforward serializer: a dict per node, one json.dumps for the
+# whole list. serialize_scene, which encodes each field once per scene and
+# caches the pieces, must write exactly these bytes.
+
+
+def reference_node_to_dict(node, opts=SerializeOptions()):
+    out = {
+        "id": node.id,
+        "bbox_extent": [round(c, 1) + 0.0 for c in node.bbox_extent],
+        "bbox_center": [round(c, 1) + 0.0 for c in node.bbox_center],
+        "object_tag": node.object_tag,
+    }
+    for key in OPTIONAL_TEXT_KEYS:
+        out[key] = getattr(node, key)
+    for key in opts.omit:
+        out.pop(key, None)
+    for key, value in node.extra:
+        out[key] = value
+    return out
+
+
+def reference_serialize_scene(scene, opts=SerializeOptions()):
+    return json.dumps([reference_node_to_dict(n, opts) for n in scene.nodes])
+
+
+ALL_OMITS = [frozenset(c) for r in range(len(NODE_KEYS) + 1) for c in itertools.combinations(NODE_KEYS, r)]
+
+awkward_char = st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "é", "雪", "😀"]),
+)
+awkward_text = st.text(awkward_char, max_size=8)
+any_coordinate = st.one_of(
+    st.floats(),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**5), 10**5).map(lambda k: k / 20),  # halves of the last kept decimal
+    st.integers(-(10**4), 10**4).map(lambda k: k / 10 + 0.05),  # the same, with float error
+    st.sampled_from([0.0, -0.0, -0.04, 0.05, -0.05, 0.15, 0.25, 2.675, 1e16 + 2, 1e300, 5e-324]),
+    st.sampled_from([-1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+)
+json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), awkward_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(awkward_text, inner, max_size=3)),
+    max_leaves=4,
+)
+# Keys may repeat or name a node field: both keep dict semantics.
+extra_items = st.lists(
+    st.tuples(st.one_of(awkward_text, st.sampled_from(NODE_KEYS)), json_value), max_size=3
+).map(tuple)
+
+
+@st.composite
+def awkward_scenes(draw):
+    # A bool id is no int to json; it is written as json writes it.
+    ids = draw(st.lists(st.one_of(st.integers(0, 2**70), st.booleans()), max_size=5, unique=True))
+    vec = st.builds(Vec3, any_coordinate, any_coordinate, any_coordinate)
+    return SceneGraph(
+        nodes=tuple(
+            ObjectNode(
+                i, draw(vec), draw(vec), draw(awkward_text), draw(awkward_text), draw(awkward_text),
+                draw(awkward_text), draw(extra_items),
+            )
+            for i in ids
+        )
+    )
+
+
+AWKWARD = SceneGraph(
+    nodes=(
+        ObjectNode(
+            0, Vec3(-0.0, 0.05, 2.675), Vec3(-0.04, 1e300, 0.25), 'a "q" \\ \x01', "Über ☃ 雪", "\u2028", "é",
+            extra=(("tags", ["é", {"k": [1.5, None]}]), ("caption", "override"), ("tags", "last")),
+        ),
+        ObjectNode(1, Vec3(1, 2, 3), Vec3(0.15, -0.05, 5e-324), "mirror", extra=(("color", "only if omitted"),)),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(awkward_scenes())
+@example(AWKWARD)
+@example(SceneGraph(nodes=()))
+def test_serialize_scene_matches_reference(scene):
+    """Every subset of NODE_KEYS as omit, each serialized twice: the second
+    time from the scene's cache. A name outside NODE_KEYS omits nothing."""
+    for omit in ALL_OMITS + [frozenset({"tags"})]:
+        opts = SerializeOptions(omit=omit)
+        expected = reference_serialize_scene(scene, opts)
+        assert serialize_scene(scene, opts) == expected
+        assert serialize_scene(scene, SerializeOptions(omit=set(omit))) == expected
+        assert encoded_nodes(scene, opts) == tuple(json.dumps(reference_node_to_dict(n, opts)) for n in scene.nodes)
