@@ -23,13 +23,11 @@ from .oracle import (
 from .parsing import GroundingIssue, ParsedResponse, parse_response, validate_grounding
 from .prompts import PromptBundle, build_prompt, estimate_tokens
 from .scene_model import (
-    Aabb,
     ObjectNode,
     SceneGraph,
     SceneError,
     SerializeOptions,
     Vec3,
-    aabb_of,
     parse_scene,
     serialize_scene,
 )

@@ -10,6 +10,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,13 +53,15 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> CliConfig:
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{config_path} must hold a JSON object")
         if "oracle" in raw:
             fields["oracle"] = OracleConfig(**raw["oracle"])
         if "llm" in raw:
             fields["llm"] = llm_mod.LlmConfig(**raw["llm"])
         fields.update((key, raw[key]) for key in ("budget", "strict_parse") if key in raw)
 
-    if getattr(args, "budget", None):
+    if getattr(args, "budget", None) is not None:
         fields["budget"] = args.budget
     if getattr(args, "strict", False):
         fields["strict_parse"] = True
@@ -71,7 +74,7 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> CliConfig:
 def _read_scene(path: str) -> SceneGraph:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
     try:
@@ -95,7 +98,7 @@ def _emit(payload: dict, text: str, fmt: str) -> None:
 def cmd_validate(args: argparse.Namespace, cfg: CliConfig) -> int:
     try:
         text = Path(args.scene).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         if cfg.output_format == "json":
             print(json.dumps({"error": str(exc)}))
         else:
@@ -142,16 +145,20 @@ def cmd_describe(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _make_backend(kind: str, scene: SceneGraph, cfg: CliConfig, mock_script_path: Optional[str]):
+def _make_backend(kind: str, scene: Optional[SceneGraph], cfg: CliConfig, mock_script_path: Optional[str]):
+    """The backend for `kind`; only "oracle" reads `scene`."""
     if kind == "oracle":
         return llm_mod.OracleMockBackend(scene, cfg.eval.oracle)
     if kind == "mock":
         if not mock_script_path:
             print("error: --backend mock requires --mock-script", file=sys.stderr)
             raise SystemExit(EXIT_IO)
-        with open(mock_script_path, encoding="utf-8") as fh:
-            script = json.load(fh)
-        return llm_mod.MockBackend(script)
+        try:
+            with open(mock_script_path, encoding="utf-8") as fh:
+                return llm_mod.MockBackend(json.load(fh))
+        except (OSError, ValueError, TypeError) as exc:
+            print(f"error: bad mock script {mock_script_path}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_IO)
     return llm_mod.HttpBackend(cfg.eval.llm)
 
 
@@ -232,7 +239,7 @@ def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
         gen = generate_scene(SceneRecipe(seed=seed, node_count=args.nodes, layout=Layout(args.layout)))
         tasks.append((gen, generate_queries(gen, cfg.eval.oracle)))
 
-    backend = "oracle" if args.backend == "oracle" else _make_backend(args.backend, tasks[0][0].scene, cfg, args.mock_script)
+    backend = "oracle" if args.backend == "oracle" else _make_backend(args.backend, None, cfg, args.mock_script)
     try:
         report = run_eval(tasks, backend=backend, cfg=cfg.eval)
     except (llm_mod.LlmError, BudgetInfeasible) as exc:
@@ -240,10 +247,14 @@ def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
 
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        (out_dir / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
-        (out_dir / "records.jsonl").write_text(report.to_jsonl(), encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+            (out_dir / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
+            (out_dir / "records.jsonl").write_text(report.to_jsonl(), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write reports to {args.out}: {exc}", file=sys.stderr)
+            return EXIT_IO
     if cfg.output_format == "json":
         print(report.to_json())
     else:
@@ -280,6 +291,16 @@ def cmd_compact(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scenequery", description="3D scene-graph question answering")
     parser.add_argument("--config", help=f"JSON config file (default: ./{DEFAULT_CONFIG_PATH} if present)")
@@ -313,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run the synthetic benchmark")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenes", type=int, default=5)
-    p.add_argument("--nodes", type=int, default=10)
+    p.add_argument("--nodes", type=_positive_int, default=10)
     p.add_argument("--layout", choices=[l.value for l in Layout], default="Mixed")
     p.add_argument("--backend", choices=["live", "mock", "oracle"], default="oracle")
     p.add_argument("--mock-script")
@@ -328,9 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args leaves the parser unchanged.
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
     except (OSError, ValueError, TypeError) as exc:

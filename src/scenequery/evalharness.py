@@ -197,6 +197,14 @@ def _ref(scene: SceneGraph, node_id: int) -> str:
     return f"{scene.node(node_id).object_tag} (id: {node_id})"
 
 
+# Yes/no question per planted category, filled with (subject, object) refs.
+# Each planted fact is asked both ways: as planted (yes) and swapped (no).
+_YES_NO_TEMPLATES = {
+    QueryCategory.ON_TOP_OF: "Is the {} located on top of the {}?",
+    QueryCategory.CONTAINMENT: "Can the {} contain the {}?",
+}
+
+
 def generate_queries(
     gen: GeneratedScene,
     cfg: OracleConfig = OracleConfig(),
@@ -211,23 +219,18 @@ def generate_queries(
 
     for fact in gen.planted:
         a, b = fact.subject_id, fact.object_id
+        template = _YES_NO_TEMPLATES.get(fact.category)
+        if template is not None:
+            for subject, obj, expected in ((a, b, True), (b, a, False)):
+                queries.append(
+                    GroundTruthQuery(
+                        query_text=template.format(_ref(scene, subject), _ref(scene, obj)),
+                        category=fact.category,
+                        structured=StructuredQuery(fact.category, subject, obj),
+                        expected_bool=expected,
+                    )
+                )
         if fact.category is QueryCategory.ON_TOP_OF:
-            queries.append(
-                GroundTruthQuery(
-                    query_text=f"Is the {_ref(scene, a)} located on top of the {_ref(scene, b)}?",
-                    category=QueryCategory.ON_TOP_OF,
-                    structured=StructuredQuery(QueryCategory.ON_TOP_OF, a, b),
-                    expected_bool=True,
-                )
-            )
-            queries.append(
-                GroundTruthQuery(
-                    query_text=f"Is the {_ref(scene, b)} located on top of the {_ref(scene, a)}?",
-                    category=QueryCategory.ON_TOP_OF,
-                    structured=StructuredQuery(QueryCategory.ON_TOP_OF, b, a),
-                    expected_bool=False,
-                )
-            )
             cmp = size_compare(scene.node(b), scene.node(a), cfg)
             if cmp.ordering is not SizeOrdering.SIMILAR:
                 winner = b if cmp.ordering is SizeOrdering.BIGGER else a
@@ -239,23 +242,6 @@ def generate_queries(
                         expected_object_ids=(winner,),
                     )
                 )
-        elif fact.category is QueryCategory.CONTAINMENT:
-            queries.append(
-                GroundTruthQuery(
-                    query_text=f"Can the {_ref(scene, a)} contain the {_ref(scene, b)}?",
-                    category=QueryCategory.CONTAINMENT,
-                    structured=StructuredQuery(QueryCategory.CONTAINMENT, a, b),
-                    expected_bool=True,
-                )
-            )
-            queries.append(
-                GroundTruthQuery(
-                    query_text=f"Can the {_ref(scene, b)} contain the {_ref(scene, a)}?",
-                    category=QueryCategory.CONTAINMENT,
-                    structured=StructuredQuery(QueryCategory.CONTAINMENT, b, a),
-                    expected_bool=False,
-                )
-            )
         elif fact.category is QueryCategory.RELATIVE_POSITION:
             rel = relative_position(scene.node(a), scene.node(b), cfg)
             queries.append(
@@ -462,39 +448,27 @@ def run_eval(
     BudgetInfeasible abort the run.
 
     A backend that takes concurrent calls (see `llm.Backend`) answers up to
-    its `max_in_flight` queries at once on a thread pool. Records are scored
-    and kept in input order either way, and the first query in input order
-    whose answer raised re-raises that exception."""
+    its `max_in_flight` queries at once on a thread pool. Records are kept
+    in input order either way; the first query in input order whose answer
+    raised re-raises that exception, and queries not yet started are
+    never sent."""
     if isinstance(backend, str) and backend != "oracle":
         raise ValueError(f"unknown backend {backend!r}")
-    width = 1 if isinstance(backend, str) else getattr(backend, "max_in_flight", llm_mod.DEFAULT_MAX_IN_FLIGHT)
-    if width > 1:
-        return _run_eval_concurrently(tasks, backend, cfg, width)
-    records: list[EvalRecord] = []
+    jobs = []
     for gen, queries in tasks:
         scene_backend = llm_mod.OracleMockBackend(gen.scene, cfg.oracle) if isinstance(backend, str) else backend
-        for q in queries:
-            records.append(_record(gen, q, answer(gen.scene, q.query_text, scene_backend, cfg)))
-    return EvalReport(records=tuple(records))
+        jobs.extend((gen, q, scene_backend) for q in queries)
 
+    def record(job: tuple[GeneratedScene, GroundTruthQuery, llm_mod.Backend]) -> EvalRecord:
+        gen, q, job_backend = job
+        return _record(gen, q, answer(gen.scene, q.query_text, job_backend, cfg))
 
-def _run_eval_concurrently(
-    tasks: Sequence[tuple[GeneratedScene, Sequence[GroundTruthQuery]]],
-    backend: llm_mod.Backend,
-    cfg: EvalConfig,
-    width: int,
-) -> EvalReport:
-    jobs = [(gen, q) for gen, queries in tasks for q in queries]
-    if not jobs:
-        return EvalReport(records=())
-    with ThreadPoolExecutor(max_workers=min(width, len(jobs))) as pool:
-        futures = [pool.submit(answer, gen.scene, q.query_text, backend, cfg) for gen, q in jobs]
-        try:
-            answers = [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return EvalReport(records=tuple(_record(gen, q, ans) for (gen, q), ans in zip(jobs, answers)))
+    width = 1 if isinstance(backend, str) else getattr(backend, "max_in_flight", llm_mod.DEFAULT_MAX_IN_FLIGHT)
+    width = min(width, len(jobs))
+    if width <= 1:
+        return EvalReport(records=tuple(map(record, jobs)))
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return EvalReport(records=tuple(pool.map(record, jobs)))
 
 
 def _record(gen: GeneratedScene, q: GroundTruthQuery, ans: Answer) -> EvalRecord:

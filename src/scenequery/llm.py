@@ -180,8 +180,10 @@ class MockBackend:
     max_in_flight = 1
 
     def __init__(self, script: list[str] | dict[str, str], fallback: Optional[str] = None):
+        if not isinstance(script, (list, dict)):
+            raise TypeError(f"expected a list or an object, got {type(script).__name__}")
         self._queue = list(script) if isinstance(script, list) else None
-        self._rules = dict(script) if isinstance(script, dict) else None
+        self._rules = dict(script) if isinstance(script, dict) else {}
         self._fallback = fallback
 
     def complete(self, system_text: str, user_text: str) -> str:
@@ -189,7 +191,6 @@ class MockBackend:
             if self._queue:
                 return self._queue.pop(0)
         else:
-            assert self._rules is not None
             for needle, response in self._rules.items():
                 if needle in user_text:
                     return response

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .scene_model import ObjectNode, SceneGraph, Vec3, aabb_of
+from .scene_model import ObjectNode, SceneGraph, Vec3
 
 
 class SpatialRelation(str, Enum):
@@ -130,7 +130,7 @@ Box = tuple[float, float, float, float, float, float, float]
 
 
 def _box(node: ObjectNode) -> Box:
-    """The node's box as plain floats, computed as `aabb_of` does."""
+    """The node's box as plain floats: each face is centre ± half extent."""
     (cx, cy, cz), (ex, ey, ez) = node.bbox_center, node.bbox_extent
     hx, hy, hz = ex * 0.5, ey * 0.5, ez * 0.5
     return (cx - hx, cx + hx, cy - hy, cy + hy, cz - hz, cz + hz, cz)
@@ -362,7 +362,7 @@ def answer_query_deterministic(
 
     if q.category is QueryCategory.ON_TOP_OF:
         verdict = on_top_of(a, b, cfg)
-        gap = abs(aabb_of(a).min.z - aabb_of(b).max.z)
+        gap = abs(_box(a)[4] - _box(b)[5])
         text = (
             f"{a.object_tag} (id: {a.id}) center {_fmt_vec(a.bbox_center)} vs "
             f"{b.object_tag} (id: {b.id}) center {_fmt_vec(b.bbox_center)}; "

@@ -47,17 +47,6 @@ class Vec3(NamedTuple):
     def __sub__(self, other):
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def scaled(self, k: float) -> "Vec3":
-        return Vec3(self.x * k, self.y * k, self.z * k)
-
-
-@dataclass(frozen=True)
-class Aabb:
-    """Min/max-corner view of a box; derived from center and extent."""
-
-    min: Vec3
-    max: Vec3
-
 
 @dataclass(frozen=True)
 class ObjectNode:
@@ -284,11 +273,6 @@ def serialize_scene(scene: SceneGraph, opts: SerializeOptions = SerializeOptions
     """Serialize to the canonical JSON array, keys in fixed order: the
     bytes json.dumps writes for a list of node objects."""
     return "[" + ", ".join(encoded_nodes(scene, opts)) + "]"
-
-
-def aabb_of(node: ObjectNode) -> Aabb:
-    half = node.bbox_extent.scaled(0.5)
-    return Aabb(min=node.bbox_center - half, max=node.bbox_center + half)
 
 
 def scene_issues(json_text: str) -> tuple[int, list[SceneError]]:

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from scenequery.cli import main
+from scenequery import cli
+from scenequery.cli import build_parser, main
 from scenequery.evalharness import EvalConfig, answer
 from scenequery.llm import OracleMockBackend
 from scenequery.oracle import OracleConfig
@@ -280,6 +281,34 @@ class TestAsk:
         assert payload["grounding_issues"] == []
 
 
+def assert_one_error_line(captured, prefix="error: "):
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "No such file"), ("[1,", "Expecting value"), ("5", "expected a list or an object, got int")],
+    ids=["missing", "invalid_json", "number"],
+)
+def test_bad_mock_script_exits_2(couch_pillow_file, tmp_path, capsys, content, message):
+    script = tmp_path / "script.json"
+    if content is not None:
+        script.write_text(content, encoding="utf-8")
+    assert main(["ask", couch_pillow_file, "q", "--backend", "mock", "--mock-script", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured, f"error: bad mock script {script}: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["describe", "validate", "ask", "compact", "repl"])
+def test_scene_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'[{"id": 0, "object_tag": "caf\xe9"}]')
+    assert main([command, str(path)] + (["q"] if command == "ask" else [])) == 2
+    assert_one_error_line(capsys.readouterr(), f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
 class TestRepl:
     def test_quit(self, couch_pillow_file, capsys, monkeypatch):
         import io
@@ -347,6 +376,36 @@ class TestEval:
         assert not out_dir.exists()
 
 
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.write_text("keep me", encoding="utf-8")
+        assert main(["eval", "--scenes", "1", "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr(), f"error: cannot write reports to {out}: ")
+        assert out.read_text(encoding="utf-8") == "keep me"
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    def test_zero_nodes_rejected_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--nodes", "0"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "scenequery eval: error: argument --nodes: expected a whole number of at least 1, got '0'"
+        )
+
+    @pytest.mark.parametrize("backend", ["mock", "live"])
+    def test_zero_scenes_prints_an_empty_report(self, tmp_path, monkeypatch, capsys, backend):
+        monkeypatch.delenv("SCENEGPT_API_KEY", raising=False)
+        script = tmp_path / "script.json"
+        script.write_text("[]", encoding="utf-8")
+        assert main(["eval", "--scenes", "0", "--backend", "oracle"]) == 0
+        oracle = capsys.readouterr()
+        assert main(["eval", "--scenes", "0", "--backend", backend, "--mock-script", str(script)]) == 0
+        assert capsys.readouterr() == oracle
+        assert "total queries: 0" in oracle.out
+
+
 class TestCompact:
     def test_small_scene_no_actions(self, scene_file, capsys):
         assert main(["compact", scene_file, "--query", "where is the vase?"]) == 0
@@ -389,3 +448,43 @@ class TestConfig:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"oracle": {"near_threshold": -1}}), encoding="utf-8")
         assert main(["--config", str(config), "validate", couch_pillow_file]) == 2
+
+    def test_zero_budget_flag_rejected(self, couch_pillow_file, capsys):
+        assert main(["--budget", "0", "validate", couch_pillow_file]) == 2
+        assert_one_error_line(capsys.readouterr(), "error: bad configuration: token budget must be positive")
+
+    @pytest.mark.parametrize("content", ["[1]", '"abc"'])
+    def test_config_that_is_not_an_object_rejected(self, couch_pillow_file, tmp_path, capsys, content):
+        config = tmp_path / "cfg.json"
+        config.write_text(content, encoding="utf-8")
+        assert main(["--config", str(config), "validate", couch_pillow_file]) == 2
+        assert_one_error_line(capsys.readouterr(), f"error: bad configuration: {config} must hold a JSON object")
+
+
+def test_consecutive_calls_share_no_state(couch_pillow_file, tmp_path, monkeypatch, capsys):
+    """The parser is built once per process. Each call still parses as a
+    fresh parser would and prints what it prints on its own."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(["garbage with no steps"]), encoding="utf-8")
+    runs = [
+        [
+            *("--format", "json", "--budget", "900", "--strict"),
+            *("ask", couch_pillow_file, "Is the pillow on top of the white couch?"),
+        ],
+        ["describe", couch_pillow_file, "--relations"],
+        ["ask", couch_pillow_file, "q", "--backend", "mock", "--mock-script", str(script)],
+        ["eval", "--scenes", "1", "--nodes", "3", "--layout", "Stacks"],
+        ["--format", "json", "compact", couch_pillow_file, "--query", "where is the pillow?"],
+        ["validate", couch_pillow_file],
+    ]
+    namespaces = []
+    load_config = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path, args: namespaces.append(vars(args)) or load_config(path, args))
+    results = []
+    for argv in runs + runs[::-1]:
+        code = main(argv)
+        results.append((code, capsys.readouterr()))
+    assert results == results[::-1]
+    assert [code for code, _ in results[: len(runs)]] == [0, 0, 3, 0, 0, 0]
+    for argv, namespace in zip(runs + runs[::-1], namespaces):
+        assert namespace == vars(build_parser().parse_args(argv))

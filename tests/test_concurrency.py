@@ -169,6 +169,26 @@ class FailingBackend:
         return "a reply with no steps"
 
 
+class SlowUnlessFirst:
+    """Two calls at once. Fails `first` at once; every other call replies
+    after 0.3 s. Records each user text it is sent."""
+
+    max_in_flight = 2
+
+    def __init__(self, first):
+        self._first = first
+        self._lock = threading.Lock()
+        self.sent = []
+
+    def complete(self, system_text, user_text):
+        with self._lock:
+            self.sent.append(user_text)
+        if user_text == self._first:
+            raise LlmError(f"failed: {user_text}")
+        time.sleep(0.3)
+        return "a reply with no steps"
+
+
 class TestWidth:
     @pytest.mark.parametrize("declared, expected", [(3, 3), (None, 8)])
     def test_calls_overlap_up_to_the_backend_width(self, declared, expected):
@@ -205,6 +225,22 @@ class TestWidth:
         with pytest.raises(LlmError, match="failed") as info:
             run_eval(tasks, backend=backend if concurrent else OneAtATime(backend))
         assert str(info.value) == f"failed: {texts[2]}"
+
+    def test_queries_not_started_at_a_failure_are_never_sent(self):
+        """At width 2 the first query fails at once while every other call
+        stays in flight for a while. Besides the failing query, only the one
+        already in flight and the one its freed worker may pick up next can
+        reach the backend, during the run or after it."""
+        tasks = tasks_for([0, 1])
+        texts = query_texts(tasks)
+        assert len(texts) > 10
+        backend = SlowUnlessFirst(texts[0])
+        with pytest.raises(LlmError, match="failed"):
+            run_eval(tasks, backend=backend)
+        sent = list(backend.sent)
+        time.sleep(0.5)
+        assert backend.sent == sent
+        assert texts[0] in sent and set(sent) <= set(texts[:3])
 
 
 class GarbageResponse(FakeResponse):

@@ -126,6 +126,58 @@ class TestGenerateQueries:
             for node_id in q.expected_object_ids:
                 assert gen.scene.has_node(node_id)
 
+    def test_mixed_scene_queries_pinned(self):
+        """Every planted category, each yes/no fact asked both ways, and
+        the size question right after its OnTopOf pair."""
+        queries = generate_queries(generate_scene(SceneRecipe(seed=0, node_count=10, layout=Layout.MIXED)))
+        assert [q.query_text for q in queries] == [
+            "Is the window (id: 1) located on top of the mirror (id: 0)?",
+            "Is the mirror (id: 0) located on top of the window (id: 1)?",
+            "Which is bigger, the mirror (id: 0) or the window (id: 1)?",
+            "Can the mirror (id: 2) contain the box (id: 3)?",
+            "Can the box (id: 3) contain the mirror (id: 2)?",
+            "Where is the bottle (id: 4) with respect to the glass (id: 5)?",
+            "Is the bed (id: 7) located on top of the vase (id: 6)?",
+            "Is the vase (id: 6) located on top of the bed (id: 7)?",
+            "Which is bigger, the vase (id: 6) or the bed (id: 7)?",
+            "Can the plant (id: 8) contain the microwave (id: 9)?",
+            "Can the microwave (id: 9) contain the plant (id: 8)?",
+            "Something that can be used to see your reflection",
+            "Something that is not opaque",
+        ]
+        assert all(q.structured.category is q.category for q in queries)
+        structured = [(q.category.value, q.structured.subject_id, q.structured.object_id, q.structured.text) for q in queries]
+        assert structured == [
+            ("OnTopOf", 1, 0, ""),
+            ("OnTopOf", 0, 1, ""),
+            ("SizeCompare", 0, 1, ""),
+            ("Containment", 2, 3, ""),
+            ("Containment", 3, 2, ""),
+            ("RelativePosition", 4, 5, ""),
+            ("OnTopOf", 7, 6, ""),
+            ("OnTopOf", 6, 7, ""),
+            ("SizeCompare", 6, 7, ""),
+            ("Containment", 8, 9, ""),
+            ("Containment", 9, 8, ""),
+            ("Affordance", None, None, "used to see your reflection"),
+            ("Negation", None, None, "not opaque"),
+        ]
+        assert [(q.expected_object_ids, q.expected_bool, q.expected_keywords) for q in queries] == [
+            ((), True, ()),
+            ((), False, ()),
+            ((0,), None, ()),
+            ((), True, ()),
+            ((), False, ()),
+            ((), None, ("in the positive x direction from and near",)),
+            ((), True, ()),
+            ((), False, ()),
+            ((6,), None, ()),
+            ((), True, ()),
+            ((), False, ()),
+            ((0, 2), None, ()),
+            ((0, 1, 2, 4, 5), None, ()),
+        ]
+
 
 def tasks_for(seeds, layout=Layout.MIXED, node_count=10):
     out = []

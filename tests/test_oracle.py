@@ -427,7 +427,9 @@ def test_scale_monotonicity():
     for k in (0.5, 2.0, 10.0):
         scaled = SceneGraph(
             nodes=tuple(
-                ObjectNode(n.id, n.bbox_extent.scaled(k), n.bbox_center.scaled(k), n.object_tag)
+                ObjectNode(
+                    n.id, Vec3(*(c * k for c in n.bbox_extent)), Vec3(*(c * k for c in n.bbox_center)), n.object_tag
+                )
                 for n in scene.nodes
             )
         )

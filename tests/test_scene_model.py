@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scenequery.oracle import _box
 from scenequery.scene_model import (
     NODE_KEYS,
     OPTIONAL_TEXT_KEYS,
@@ -13,7 +14,6 @@ from scenequery.scene_model import (
     SceneGraph,
     SerializeOptions,
     Vec3,
-    aabb_of,
     encoded_nodes,
     parse_scene,
     scene_issues,
@@ -162,21 +162,18 @@ class TestSerializeScene:
 
 
 class TestAabb:
+    """The oracle's flat box: (min x, max x, min y, max y, min z, max z, centre z)."""
+
     def test_vase(self):
         node = ObjectNode(0, Vec3(0.7, 0.6, 0.4), Vec3(-4.2, -2.0, 0.1), "vase")
-        box = aabb_of(node)
-        assert box.min == pytest.approx((-4.55, -2.3, -0.1))
-        assert box.max == pytest.approx((-3.85, -1.7, 0.3))
+        assert _box(node) == pytest.approx((-4.55, -3.85, -2.3, -1.7, -0.1, 0.3, 0.1))
 
     def test_degenerate(self):
         node = ObjectNode(0, Vec3(0, 0, 0), Vec3(1, 2, 3), "pt")
-        box = aabb_of(node)
-        assert box.min == box.max == Vec3(1, 2, 3)
+        assert _box(node) == (1, 1, 2, 2, 3, 3, 3)
 
     def test_couch(self, couch):
-        box = aabb_of(couch)
-        assert box.min == pytest.approx((2.3, 1.85, -1.5))
-        assert box.max == pytest.approx((3.3, 2.75, -0.9))
+        assert _box(couch) == pytest.approx((2.3, 3.3, 1.85, 2.75, -1.5, -0.9, -1.2))
 
 
 finite = st.floats(min_value=-1000, max_value=1000, allow_nan=False, allow_infinity=False)
@@ -227,9 +224,8 @@ def test_aabb_volume_preserved(extent, center):
     centre that is a large relative error, and a volume bound misreads
     it; the per-axis bound does not.
     """
-    node = ObjectNode(0, Vec3(*extent), Vec3(*center), "x")
-    box = aabb_of(node)
-    for lo, hi, c, e in zip(box.min, box.max, center, extent):
+    box = _box(ObjectNode(0, Vec3(*extent), Vec3(*center), "x"))
+    for lo, hi, c, e in zip(box[0:6:2], box[1:6:2], center, extent):
         assert abs((hi - lo) - e) <= 4 * math.ulp(abs(c) + e)
 
 
