@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -59,7 +60,12 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> CliConfig:
             fields["oracle"] = OracleConfig(**raw["oracle"])
         if "llm" in raw:
             fields["llm"] = llm_mod.LlmConfig(**raw["llm"])
-        fields.update((key, raw[key]) for key in ("budget", "strict_parse") if key in raw)
+        # type(), not isinstance(): a bool is an int, but no budget.
+        for key, kind, name in (("budget", int, "an integer"), ("strict_parse", bool, "true or false")):
+            if key in raw:
+                if type(raw[key]) is not kind:
+                    raise ValueError(f"{key} must be {name}, got {raw[key]!r}")
+                fields[key] = raw[key]
 
     if getattr(args, "budget", None) is not None:
         fields["budget"] = args.budget
@@ -86,6 +92,43 @@ def _read_scene(path: str) -> SceneGraph:
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+# One node and one edge of `describe --format json`, as json.dumps(...,
+# indent=2, sort_keys=True) writes them inside the payload's lists.
+_NODE_JSON = (
+    "    {\n"
+    '      "bbox_center": [\n        %r,\n        %r,\n        %r\n      ],\n'
+    '      "bbox_extent": [\n        %r,\n        %r,\n        %r\n      ],\n'
+    '      "id": %d,\n'
+    '      "object_tag": %s\n'
+    "    }"
+)
+_EDGE_JSON = "    [\n      %d,\n      %s,\n      %d\n    ]"
+
+
+def _json_items(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _describe_json(scene: SceneGraph, edges: Optional[list]) -> str:
+    """The bytes of json.dumps({"nodes": [...], "edges": [...]}, indent=2,
+    sort_keys=True) for describe's rows, written without building them:
+    with indent set, json.dumps runs its pure-Python encoder, about five
+    times slower on large scenes. Box components are finite floats and
+    ids are ints, so float.__repr__ and %d write what json writes."""
+    fields = []
+    if edges is not None:
+        fields.append(
+            '"edges": '
+            + _json_items([_EDGE_JSON % (s, encode_basestring_ascii(rel.value), o) for s, rel, o in edges])
+        )
+    nodes = [
+        _NODE_JSON % (*n.bbox_center, *n.bbox_extent, n.id, encode_basestring_ascii(n.object_tag))
+        for n in scene.nodes
+    ]
+    fields.append('"nodes": ' + _json_items(nodes))
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def _emit(payload: dict, text: str, fmt: str) -> None:
@@ -116,20 +159,7 @@ def cmd_describe(args: argparse.Namespace, cfg: CliConfig) -> int:
     edges = derive_edges(scene, cfg.eval.oracle) if args.relations else None
     # Only the output that is printed is built.
     if cfg.output_format == "json":
-        payload: dict = {
-            "nodes": [
-                {
-                    "id": n.id,
-                    "object_tag": n.object_tag,
-                    "bbox_center": list(n.bbox_center),
-                    "bbox_extent": list(n.bbox_extent),
-                }
-                for n in scene.nodes
-            ]
-        }
-        if edges is not None:
-            payload["edges"] = [[s, rel.value, o] for s, rel, o in edges]
-        _print_json(payload)
+        print(_describe_json(scene, edges))
         return EXIT_OK
     lines = [
         f"{n.id:>4}  {n.object_tag:<20} center {list(n.bbox_center)}  extent {list(n.bbox_extent)}"
@@ -291,14 +321,19 @@ def cmd_compact(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
-    return value
+def _whole_number(minimum: int):
+    """An argparse type: an int of at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected a whole number of at least {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run the synthetic benchmark")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenes", type=int, default=5)
-    p.add_argument("--nodes", type=_positive_int, default=10)
+    p.add_argument("--scenes", type=_whole_number(0), default=5)
+    p.add_argument("--nodes", type=_whole_number(1), default=10)
     p.add_argument("--layout", choices=[l.value for l in Layout], default="Mixed")
     p.add_argument("--backend", choices=["live", "mock", "oracle"], default="oracle")
     p.add_argument("--mock-script")

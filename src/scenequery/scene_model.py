@@ -117,9 +117,13 @@ def _parse_vec3(value: Any, index: int, field_name: str) -> Vec3:
     for c in value:
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise SceneError(f"non-numeric component {c!r}", index, field_name)
+        try:
+            c = float(c)
+        except OverflowError:
+            raise SceneError("component out of float range", index, field_name) from None
         if not math.isfinite(c):
             raise SceneError(f"non-finite component {c!r}", index, field_name)
-        comps.append(float(c))
+        comps.append(c)
     return Vec3(*comps)
 
 
@@ -170,11 +174,13 @@ def _read_nodes(json_text: str) -> tuple[int, list[ObjectNode], list[SceneError]
     """(array length, valid nodes, node issues in input order).
 
     A bad node or a repeated id is an issue and the scan goes on; JSON
-    that is malformed or not an array raises SceneError.
+    that is malformed, nested too deep or not an array raises SceneError.
     """
     try:
         data = json.loads(json_text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer past the int/str
+        # conversion limit; RecursionError: arrays or objects nested too deep.
         raise SceneError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, list):
         raise SceneError("top-level value must be an array")

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scenequery import cli
 from scenequery.cli import build_parser, main
 from scenequery.evalharness import EvalConfig, answer
 from scenequery.llm import OracleMockBackend
-from scenequery.oracle import OracleConfig
-from scenequery.scene_model import parse_scene
+from scenequery.oracle import OracleConfig, derive_edges
+from scenequery.scene_model import NODE_KEYS, parse_scene
 from conftest import SAMPLE_SCENE_JSON
 from test_oracle import brute_force_edges, multi_room_scene
 
@@ -124,6 +128,77 @@ class TestDescribe:
         assert main(["describe", path]) == 0
         out = capsys.readouterr().out
         assert out.count("\n") == len(rows) and "relations:" not in out
+
+
+awkward_tag = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "é", "雪", "😀"]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+special_coordinate = st.sampled_from([-0.0, 5e-324, 1e16])
+extent = st.lists(st.one_of(st.integers(0, 4), st.floats(0, 4), special_coordinate), min_size=3, max_size=3)
+centre = st.lists(st.one_of(st.integers(-6, 6), st.floats(-6, 6), special_coordinate), min_size=3, max_size=3)
+extra_keys = st.dictionaries(
+    st.text(max_size=6).filter(lambda k: k not in NODE_KEYS),
+    st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), awkward_tag, st.lists(st.integers(), max_size=2)),
+    max_size=2,
+)
+
+
+@st.composite
+def describe_rows(draw):
+    """Scene-file rows: 0 to 12 nodes with ids up to 10**30, awkward tags,
+    int and float coordinates, and keys describe does not print."""
+    ids = draw(st.lists(st.integers(0, 10**30), max_size=12, unique=True))
+    return [
+        {
+            **draw(extra_keys),
+            "id": i,
+            "bbox_extent": draw(extent),
+            "bbox_center": draw(centre),
+            "object_tag": draw(awkward_tag),
+        }
+        for i in ids
+    ]
+
+
+def box_row(node_id, center, tag="box"):
+    return {"id": node_id, "bbox_extent": [1, 1, 1], "bbox_center": center, "object_tag": tag}
+
+
+@settings(deadline=None)
+@given(describe_rows())
+@example([])
+@example([box_row(0, [0, 0, 0]), box_row(7, [50, 0, 0], 'far "x" \\ \x01 雪 \ud800')])
+@example([box_row(10**30, [0, 0, 0.5]), box_row(3, [0.2, 0, -0.5], "table"), box_row(4, [-0.0, 5e-324, 1e16])])
+def test_describe_json_bytes_are_json_dumps(rows):
+    """`--format json describe` prints the bytes json.dumps writes for the
+    rows and edge triples, with and without --relations."""
+    scene = parse_scene(json.dumps(rows))
+    nodes = [
+        {
+            "id": n.id,
+            "object_tag": n.object_tag,
+            "bbox_center": list(n.bbox_center),
+            "bbox_extent": list(n.bbox_extent),
+        }
+        for n in scene.nodes
+    ]
+    edges = [[s, rel.value, o] for s, rel, o in derive_edges(scene, OracleConfig())]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        for argv, payload in [
+            ([], {"nodes": nodes}),
+            (["--relations"], {"nodes": nodes, "edges": edges}),
+        ]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["--format", "json", "describe", str(path), *argv]) == 0
+            assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def far_apart_file(tmp_path, x_cup, x_vase):
@@ -309,6 +384,32 @@ def test_scene_not_utf8_exits_2(tmp_path, capsys, command):
     assert_one_error_line(capsys.readouterr(), f"error: cannot read {path}: 'utf-8' codec can't decode")
 
 
+SCENES_PAST_PARSER_LIMITS = {
+    "int_coordinate_past_float": (json.dumps([box_row(0, [10**400, 0, 0])]), "out of float range"),
+    "int_past_str_conversion_limit": (
+        '[{"id": 0, "bbox_extent": [1, 1, 1], "bbox_center": [0, 0, 0], "object_tag": "box", "note": 1'
+        + "0" * 4400
+        + "}]",
+        "malformed JSON: Exceeds the limit",
+    ),
+    "nested_too_deep": ("[" * 100_000 + "]" * 100_000, "malformed JSON: maximum recursion depth"),
+}
+
+
+@pytest.mark.parametrize("content, message", SCENES_PAST_PARSER_LIMITS.values(), ids=SCENES_PAST_PARSER_LIMITS)
+@pytest.mark.parametrize("command", ["validate", "describe", "ask", "compact"])
+def test_scene_past_parser_limits_is_invalid(tmp_path, capsys, command, content, message):
+    path = tmp_path / "scene.json"
+    path.write_text(content, encoding="utf-8")
+    assert main([command, str(path)] + (["q"] if command == "ask" else [])) == 1
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    if command == "validate":
+        assert "Traceback" not in captured.err and captured.out.count("\n") == 2
+    else:
+        assert_one_error_line(captured, "error: invalid scene: ")
+
+
 class TestRepl:
     def test_quit(self, couch_pillow_file, capsys, monkeypatch):
         import io
@@ -394,6 +495,16 @@ class TestEval:
             "scenequery eval: error: argument --nodes: expected a whole number of at least 1, got '0'"
         )
 
+    def test_negative_scenes_rejected_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--scenes", "-3"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "scenequery eval: error: argument --scenes: expected a whole number of at least 0, got '-3'"
+        )
+
     @pytest.mark.parametrize("backend", ["mock", "live"])
     def test_zero_scenes_prints_an_empty_report(self, tmp_path, monkeypatch, capsys, backend):
         monkeypatch.delenv("SCENEGPT_API_KEY", raising=False)
@@ -459,6 +570,30 @@ class TestConfig:
         config.write_text(content, encoding="utf-8")
         assert main(["--config", str(config), "validate", couch_pillow_file]) == 2
         assert_one_error_line(capsys.readouterr(), f"error: bad configuration: {config} must hold a JSON object")
+
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"budget": True}, "budget must be an integer, got True"),
+            ({"budget": 900.0}, "budget must be an integer, got 900.0"),
+            ({"budget": "900"}, "budget must be an integer, got '900'"),
+            ({"strict_parse": "false"}, "strict_parse must be true or false, got 'false'"),
+            ({"strict_parse": 0}, "strict_parse must be true or false, got 0"),
+        ],
+        ids=["budget_bool", "budget_float", "budget_string", "strict_parse_string", "strict_parse_int"],
+    )
+    def test_config_value_of_the_wrong_type_rejected(self, couch_pillow_file, tmp_path, capsys, content, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(content), encoding="utf-8")
+        assert main(["--config", str(config), "ask", couch_pillow_file, "where is the pillow?"]) == 2
+        assert_one_error_line(capsys.readouterr(), f"error: bad configuration: {message}")
+
+    def test_config_budget_and_strict_parse_read(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"budget": 900, "strict_parse": True}), encoding="utf-8")
+        cfg = cli.load_config(str(config), build_parser().parse_args(["validate", "scene.json"]))
+        assert (cfg.eval.budget, cfg.eval.strict_parse) == (900, True)
 
 
 def test_consecutive_calls_share_no_state(couch_pillow_file, tmp_path, monkeypatch, capsys):
