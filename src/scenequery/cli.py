@@ -131,11 +131,22 @@ def _describe_json(scene: SceneGraph, edges: Optional[list]) -> str:
     return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
+def _print_text(text: str, file=None) -> None:
+    """Print text output. Characters the stream cannot encode (a lone
+    surrogate in a tag, say) are written as backslash escapes."""
+    file = file or sys.stdout
+    try:
+        print(text, file=file)
+    except UnicodeEncodeError:
+        encoding = file.encoding or "utf-8"
+        print(text.encode(encoding, "backslashreplace").decode(encoding), file=file)
+
+
 def _emit(payload: dict, text: str, fmt: str) -> None:
     if fmt == "json":
         _print_json(payload)
     else:
-        print(text)
+        _print_text(text)
 
 
 def cmd_validate(args: argparse.Namespace, cfg: CliConfig) -> int:
@@ -171,7 +182,7 @@ def cmd_describe(args: argparse.Namespace, cfg: CliConfig) -> int:
         lines.extend(f"  {s} {rel.value} {o}" for s, rel, o in edges)
         if not edges:
             lines.append("  (none)")
-    print("\n".join(lines))
+    _print_text("\n".join(lines))
     return EXIT_OK
 
 
@@ -206,9 +217,9 @@ def _run_ask(scene: SceneGraph, query: str, backend, cfg: CliConfig) -> int:
         return _pipeline_failure(exc)
     parsed, issues = result.parsed, result.issues
     if parsed is None:
-        print(f"error: unparseable response: {result.error}", file=sys.stderr)
+        _print_text(f"error: unparseable response: {result.error}", sys.stderr)
         if result.raw:
-            print(result.raw, file=sys.stderr)
+            _print_text(result.raw, sys.stderr)
         return EXIT_PARSE
 
     payload = {
@@ -288,7 +299,7 @@ def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
     if cfg.output_format == "json":
         print(report.to_json())
     else:
-        print(report.to_text())
+        _print_text(report.to_text())
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ from .oracle import (
     SizeOrdering,
     StructuredQuery,
     describe_relations,
+    object_ref,
     relative_position,
     size_compare,
 )
@@ -193,10 +194,6 @@ def generate_scene(recipe: SceneRecipe, lexicon: Optional[dict[str, dict]] = Non
     return GeneratedScene(scene=SceneGraph(nodes=tuple(nodes)), planted=tuple(planted), recipe=recipe)
 
 
-def _ref(scene: SceneGraph, node_id: int) -> str:
-    return f"{scene.node(node_id).object_tag} (id: {node_id})"
-
-
 # Yes/no question per planted category, filled with (subject, object) refs.
 # Each planted fact is asked both ways: as planted (yes) and swapped (no).
 _YES_NO_TEMPLATES = {
@@ -219,34 +216,36 @@ def generate_queries(
 
     for fact in gen.planted:
         a, b = fact.subject_id, fact.object_id
+        node_a, node_b = scene.node(a), scene.node(b)
+        ref = {a: object_ref(node_a), b: object_ref(node_b)}
         template = _YES_NO_TEMPLATES.get(fact.category)
         if template is not None:
             for subject, obj, expected in ((a, b, True), (b, a, False)):
                 queries.append(
                     GroundTruthQuery(
-                        query_text=template.format(_ref(scene, subject), _ref(scene, obj)),
+                        query_text=template.format(ref[subject], ref[obj]),
                         category=fact.category,
                         structured=StructuredQuery(fact.category, subject, obj),
                         expected_bool=expected,
                     )
                 )
         if fact.category is QueryCategory.ON_TOP_OF:
-            cmp = size_compare(scene.node(b), scene.node(a), cfg)
+            cmp = size_compare(node_b, node_a, cfg)
             if cmp.ordering is not SizeOrdering.SIMILAR:
                 winner = b if cmp.ordering is SizeOrdering.BIGGER else a
                 queries.append(
                     GroundTruthQuery(
-                        query_text=f"Which is bigger, the {_ref(scene, b)} or the {_ref(scene, a)}?",
+                        query_text=f"Which is bigger, the {ref[b]} or the {ref[a]}?",
                         category=QueryCategory.SIZE_COMPARE,
                         structured=StructuredQuery(QueryCategory.SIZE_COMPARE, b, a),
                         expected_object_ids=(winner,),
                     )
                 )
         elif fact.category is QueryCategory.RELATIVE_POSITION:
-            rel = relative_position(scene.node(a), scene.node(b), cfg)
+            rel = relative_position(node_a, node_b, cfg)
             queries.append(
                 GroundTruthQuery(
-                    query_text=f"Where is the {_ref(scene, a)} with respect to the {_ref(scene, b)}?",
+                    query_text=f"Where is the {ref[a]} with respect to the {ref[b]}?",
                     category=QueryCategory.RELATIVE_POSITION,
                     structured=StructuredQuery(QueryCategory.RELATIVE_POSITION, a, b),
                     expected_keywords=(describe_relations(rel),),

@@ -1,9 +1,11 @@
 """Chat-completion client with pluggable backends.
 
 Three backends: a live OpenAI-compatible HTTP endpoint, a scripted mock
-for tests, and an oracle-backed mock that renders deterministic
-geometry answers in the five-step response format so the whole pipeline
-can be exercised without a network.
+for tests, and an oracle-backed mock that lays out the geometry oracle's
+answers (decided and worded in `oracle.answer_query_deterministic`) in
+the five-step response format, so the whole pipeline can be exercised
+without a network. Only the live backend imports `requests`, on its
+first `complete` call.
 """
 
 from __future__ import annotations
@@ -13,22 +15,15 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from json.encoder import encode_basestring
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
-import requests
-
-from .oracle import (
-    OracleAnswer,
-    OracleConfig,
-    QueryCategory,
-    SizeOrdering,
-    StructuredQuery,
-    UnknownIdError,
-    answer_query_deterministic,
-    interpret_query,
-)
+from .oracle import OracleConfig, StructuredQuery, answer_query_deterministic, interpret_query
 from .prompts import PromptBundle
 from .scene_model import SceneGraph
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "SCENEGPT_API_KEY"
 API_URL_ENV = "SCENEGPT_API_URL"
@@ -92,7 +87,8 @@ class HttpBackend:
     with exponential backoff; after a 429 the wait is at least the
     response's Retry-After seconds. Safe to call from several threads:
     each thread gets its own `requests.Session`, unless a `session` is
-    injected, which is then used as given by every thread."""
+    injected, which is then used as given by every thread. `requests` is
+    imported on the first call, so the other backends never load it."""
 
     def __init__(
         self,
@@ -113,10 +109,14 @@ class HttpBackend:
             return self._session
         session = getattr(self._local, "session", None)
         if session is None:
+            import requests
+
             session = self._local.session = requests.Session()
         return session
 
     def complete(self, system_text: str, user_text: str) -> str:
+        import requests
+
         if not self.api_key:
             raise AuthMissingError(f"no API key; set {API_KEY_ENV}")
         url = f"{self.cfg.resolved_base_url()}/chat/completions"
@@ -199,69 +199,30 @@ class MockBackend:
         raise LlmError("mock script exhausted / no rule matched")
 
 
-def _final_sentence(answer: OracleAnswer, q: StructuredQuery, scene: SceneGraph) -> str:
-    subj = scene.node(q.subject_id) if q.subject_id is not None else None
-    obj = scene.node(q.object_id) if q.object_id is not None else None
-    if q.category is QueryCategory.ON_TOP_OF:
-        word = "Yes" if answer.verdict else "No"
-        state = "is" if answer.verdict else "is not"
-        return (
-            f"{word}, the {subj.object_tag} (id: {subj.id}) {state} on top of "
-            f"the {obj.object_tag} (id: {obj.id})."
-        )
-    if q.category is QueryCategory.CONTAINMENT:
-        word = "Yes" if answer.verdict else "No"
-        state = "can" if answer.verdict else "cannot"
-        return (
-            f"{word}, the {subj.object_tag} (id: {subj.id}) {state} contain "
-            f"the {obj.object_tag} (id: {obj.id})."
-        )
-    if q.category is QueryCategory.SIZE_COMPARE:
-        if answer.ordering is SizeOrdering.SIMILAR:
-            return (
-                f"The {subj.object_tag} (id: {subj.id}) and the {obj.object_tag} "
-                f"(id: {obj.id}) are similar in size."
-            )
-        return f"The {answer.object_tag} (id: {answer.object_id}) is bigger."
-    # RelativePosition: the explanation already carries the direction words.
-    return f"The {subj.object_tag} (id: {subj.id}) is positioned as follows: {answer.explanation}"
-
-
 def oracle_backed_mock(
     scene: SceneGraph, query: StructuredQuery, cfg: OracleConfig = OracleConfig()
 ) -> str:
-    """Render the oracle's answer in the five-step output format.
+    """Lay out the oracle's answer in the five-step output format.
 
-    Unsupported categories and unknown ids still produce well-formed
-    five-step text, just with an empty relevant-object list and no final
-    JSON answer.
+    An unsupported answer (a category the oracle cannot decide, or an id
+    not in the scene) is still well-formed five-step text, just with an
+    empty relevant-object list and no final JSON answer.
     """
-    try:
-        answer = answer_query_deterministic(scene, query, cfg)
-    except UnknownIdError:
-        answer = OracleAnswer(
-            category=query.category, supported=False, explanation="query references objects not in the scene"
-        )
-
-    inferred = f"{query.category.value} query: {query.text or '(no text)'}"
-    if not answer.supported:
-        return (
-            f"STEP1 - inferred_query: {inferred}\n"
-            f"STEP2 - relevant_objects: []\n"
-            f"STEP3 - reason for relevance: no objects could be grounded for this query\n"
-            f"STEP4 - Final Answer: The question cannot be answered from box geometry alone; "
-            f"{answer.explanation}.\n"
-            f"STEP-5 - Explanation: {answer.explanation}.\n"
-        )
-
-    relevant = [i for i in (query.subject_id, query.object_id) if i is not None][:2]
-    final_json = f'{{"object_tag": "{answer.object_tag}", "object_id": {answer.object_id}}}'
-    sentence = _final_sentence(answer, query, scene)
+    answer = answer_query_deterministic(scene, query, cfg)
+    if answer.supported:
+        relevant = [query.subject_id, query.object_id]
+        reason = "the query refers to these objects by tag or id"
+        # json.dumps(..., ensure_ascii=False) of the final object, without
+        # building an encoder per reply: valid JSON whatever the tag holds.
+        tag = encode_basestring(answer.object_tag)
+        final = f'{answer.sentence} {{"object_tag": {tag}, "object_id": {answer.object_id}}}'
+    else:
+        relevant, reason, final = [], "no objects could be grounded for this query", answer.sentence
     return (
-        f"STEP1 - inferred_query: {inferred}\n"
+        f"STEP1 - inferred_query: {query.category.value} query: {query.text or '(no text)'}\n"
         f"STEP2 - relevant_objects: {relevant}\n"
-        f"STEP3 - reason for relevance: the query refers to these objects by tag or id\n"
-        f"STEP4 - Final Answer: {sentence} {final_json}\n"
+        f"STEP3 - reason for relevance: {reason}\n"
+        f"STEP4 - Final Answer: {final}\n"
         f"STEP-5 - Explanation: {answer.explanation}.\n"
     )
 

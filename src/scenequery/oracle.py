@@ -4,6 +4,12 @@ Answers the decidable query categories (size comparison, containment,
 on-top-of, relative position) directly from box geometry, and doubles as
 the ground-truth verifier for LLM answers. Affordance and negation
 queries need world knowledge and are declared out of the oracle's reach.
+
+`answer_query_deterministic` is the one place that decides a structured
+query and words the answer: the STEP4 sentence, the final object and the
+explanation that `llm.oracle_backed_mock` lays out as a five-step reply.
+Objects are referred to as `tag (id: N)` (`object_ref`), the form
+`interpret_query` reads back.
 """
 
 from __future__ import annotations
@@ -93,17 +99,15 @@ class StructuredQuery:
 
 @dataclass(frozen=True)
 class OracleAnswer:
-    category: QueryCategory
+    """A decided query (`supported`) carries the STEP4 sentence and the
+    final object; an unsupported one only says why in `sentence` and
+    `explanation`."""
+
     supported: bool
-    verdict: Optional[bool] = None
-    ordering: Optional[SizeOrdering] = None
+    sentence: str
+    explanation: str
     object_id: Optional[int] = None
     object_tag: str = ""
-    explanation: str = ""
-
-
-class UnknownIdError(KeyError):
-    pass
 
 
 def _snap(value: float) -> float:
@@ -335,96 +339,62 @@ def _fmt_vec(v: Vec3) -> str:
     return "[" + ", ".join(f"{c:g}" for c in v) + "]"
 
 
-def _require(scene: SceneGraph, node_id: Optional[int]) -> ObjectNode:
-    if node_id is None or not scene.has_node(node_id):
-        raise UnknownIdError(f"query references unknown node id {node_id}")
-    return scene.node(node_id)
+def _unsupported(reason: str) -> OracleAnswer:
+    return OracleAnswer(False, f"The question cannot be answered from box geometry alone; {reason}.", reason)
 
 
 def answer_query_deterministic(
     scene: SceneGraph, q: StructuredQuery, cfg: OracleConfig = OracleConfig()
 ) -> OracleAnswer:
-    """Route a structured query to the matching predicate.
+    """Decide a structured query and word the answer.
 
-    Affordance/negation/freeform queries come back with supported=False
-    rather than an error; the caller decides whether to fall back to an
-    LLM for those.
+    Affordance/negation/freeform queries, and queries naming an id that
+    is not in the scene, come back with supported=False rather than an
+    error; the caller decides whether to fall back to an LLM for those.
     """
     if q.category not in DECIDABLE_CATEGORIES:
-        return OracleAnswer(
-            category=q.category,
-            supported=False,
-            explanation="requires world knowledge beyond box geometry",
-        )
+        return _unsupported("requires world knowledge beyond box geometry")
+    if not (scene.has_node(q.subject_id) and scene.has_node(q.object_id)):
+        return _unsupported("query references objects not in the scene")
 
-    a = _require(scene, q.subject_id)
-    b = _require(scene, q.object_id)
-
+    a, b = scene.node(q.subject_id), scene.node(q.object_id)
+    ref_a, ref_b = object_ref(a), object_ref(b)
+    final = a
     if q.category is QueryCategory.ON_TOP_OF:
-        verdict = on_top_of(a, b, cfg)
+        # A node never rests on itself.
+        yes = a.id != b.id and on_top_of(a, b, cfg)
+        sentence = f"{'Yes' if yes else 'No'}, the {ref_a} {'is' if yes else 'is not'} on top of the {ref_b}."
         gap = abs(_box(a)[4] - _box(b)[5])
-        text = (
-            f"{a.object_tag} (id: {a.id}) center {_fmt_vec(a.bbox_center)} vs "
-            f"{b.object_tag} (id: {b.id}) center {_fmt_vec(b.bbox_center)}; "
+        explanation = (
+            f"{ref_a} center {_fmt_vec(a.bbox_center)} vs {ref_b} center {_fmt_vec(b.bbox_center)}; "
             f"vertical gap {gap:.3g}"
         )
-        return OracleAnswer(
-            category=q.category,
-            supported=True,
-            verdict=verdict,
-            object_id=a.id,
-            object_tag=a.object_tag,
-            explanation=text,
-        )
-
-    if q.category is QueryCategory.SIZE_COMPARE:
+    elif q.category is QueryCategory.SIZE_COMPARE:
         cmp = size_compare(a, b, cfg)
-        winner = a if cmp.ordering is not SizeOrdering.SMALLER else b
-        text = (
-            f"extent of {a.object_tag} (id: {a.id}) is {_fmt_vec(a.bbox_extent)} and of "
-            f"{b.object_tag} (id: {b.id}) is {_fmt_vec(b.bbox_extent)}; "
+        if cmp.ordering is SizeOrdering.SIMILAR:
+            sentence = f"The {ref_a} and the {ref_b} are similar in size."
+        else:
+            final = a if cmp.ordering is SizeOrdering.BIGGER else b
+            sentence = f"The {object_ref(final)} is bigger."
+        explanation = (
+            f"extent of {ref_a} is {_fmt_vec(a.bbox_extent)} and of {ref_b} is {_fmt_vec(b.bbox_extent)}; "
             f"volume ratio {cmp.volume_ratio:.3g} -> {cmp.ordering.value}"
         )
-        return OracleAnswer(
-            category=q.category,
-            supported=True,
-            ordering=cmp.ordering,
-            object_id=winner.id,
-            object_tag=winner.object_tag,
-            explanation=text,
+    elif q.category is QueryCategory.CONTAINMENT:
+        yes = can_contain(a, b)
+        sentence = f"{'Yes' if yes else 'No'}, the {ref_a} {'can' if yes else 'cannot'} contain the {ref_b}."
+        explanation = (
+            f"sorted extents: {a.object_tag} {sorted(a.bbox_extent)} vs {b.object_tag} {sorted(b.bbox_extent)}; "
+            f"strict dominance is {'satisfied' if yes else 'violated'}"
         )
-
-    if q.category is QueryCategory.CONTAINMENT:
-        verdict = can_contain(a, b)
-        text = (
-            f"sorted extents: {a.object_tag} {sorted(a.bbox_extent)} vs "
-            f"{b.object_tag} {sorted(b.bbox_extent)}; strict dominance is "
-            f"{'satisfied' if verdict else 'violated'}"
+    else:  # RelativePosition: the sentence carries the explanation's direction words.
+        rel = relative_position(a, b, cfg)
+        explanation = (
+            f"{ref_a} is {describe_relations(rel)} {ref_b}; "
+            f"center delta {_fmt_vec(rel.delta)}, distance {rel.distance:.3g}"
         )
-        return OracleAnswer(
-            category=q.category,
-            supported=True,
-            verdict=verdict,
-            object_id=a.id,
-            object_tag=a.object_tag,
-            explanation=text,
-        )
-
-    # RelativePosition
-    rel = relative_position(a, b, cfg)
-    words = describe_relations(rel)
-    text = (
-        f"{a.object_tag} (id: {a.id}) is {words} {b.object_tag} (id: {b.id}); "
-        f"center delta {_fmt_vec(rel.delta)}, distance {rel.distance:.3g}"
-    )
-    return OracleAnswer(
-        category=q.category,
-        supported=True,
-        verdict=rel.near,
-        object_id=a.id,
-        object_tag=a.object_tag,
-        explanation=text,
-    )
+        sentence = f"The {ref_a} is positioned as follows: {explanation}"
+    return OracleAnswer(True, sentence, explanation, final.id, final.object_tag)
 
 
 _RELATION_WORDS = {
@@ -445,6 +415,12 @@ def describe_relations(rel: RelativePosition) -> str:
     if rel.near:
         phrase += " and near"
     return phrase
+
+
+def object_ref(node: ObjectNode) -> str:
+    """`tag (id: N)`: how queries, answers and explanations name a node,
+    and what `_ID_PATTERN` reads back."""
+    return f"{node.object_tag} (id: {node.id})"
 
 
 _ID_PATTERN = re.compile(r"\(?\s*id\s*[:=]?\s*(\d+)\s*\)?", re.IGNORECASE)

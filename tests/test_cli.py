@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -311,7 +314,7 @@ class TestAsk:
                 return WrongShape()
 
         monkeypatch.setenv("SCENEGPT_API_KEY", "k")
-        monkeypatch.setattr("scenequery.llm.requests.Session", Session)
+        monkeypatch.setattr("requests.Session", Session)
         assert main(["ask", couch_pillow_file, "where is the pillow?", "--backend", "live"]) == 2
         assert capsys.readouterr().err.startswith("error: unexpected response shape")
 
@@ -623,3 +626,57 @@ def test_consecutive_calls_share_no_state(couch_pillow_file, tmp_path, monkeypat
     assert [code for code, _ in results[: len(runs)]] == [0, 0, 3, 0, 0, 0]
     for argv, namespace in zip(runs + runs[::-1], namespaces):
         assert namespace == vars(build_parser().parse_args(argv))
+
+
+def two_node_file(tmp_path, tag):
+    nodes = [box_row(1, [0.0, 0.0, 0.75], tag), box_row(2, [0.0, 0.0, 0.25], "base")]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(nodes), encoding="utf-8")
+    return str(path)
+
+
+def test_same_object_on_top_of_itself_is_no(tmp_path, capsys):
+    path = two_node_file(tmp_path, "cup")
+    assert main(["--format", "json", "ask", path, "Is the cup (id: 1) on top of the cup (id: 1)?"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["final_text"].startswith("No")
+    assert payload["final_object_id"] == 1
+
+
+def test_quoted_tag_gives_valid_final_json(tmp_path, capsys):
+    path = two_node_file(tmp_path, '12" tv')
+    assert main(["--format", "json", "ask", path, 'Is the 12" tv (id: 1) on top of the base (id: 2)?']) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["final_object_tag"], payload["final_object_id"]) == ('12" tv', 1)
+    assert payload["grounding_issues"] == []
+
+
+HOSTILE = {
+    "surrogate tag": ("\ud800", "Is the \ud800 (id: 1) on top of the base (id: 2)?"),
+    "quoted tag": ('12" tv', 'Can the 12" tv (id: 1) contain the base (id: 2)?'),
+    "same-id query": ("cup", "Is the cup (id: 1) on top of the cup (id: 1)?"),
+    "non-ASCII tag": ("tête-à-tête", "Is the tête-à-tête (id: 1) on top of the base (id: 2)?"),
+}
+
+
+@pytest.mark.parametrize("command", ["describe", "ask", "repl"])
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_exits_cleanly_in_text_format(tmp_path, monkeypatch, case, command):
+    """Text output goes to a strict UTF-8 stdout, as on a terminal: a
+    character it cannot encode is escaped, any other is written as is."""
+    tag, query = HOSTILE[case]
+    path = two_node_file(tmp_path, tag)
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr("sys.stdout", stdout)
+    monkeypatch.setattr("sys.stdin", io.StringIO(query + "\n:quit\n"))
+    argv = {"describe": ["describe", path, "--relations"], "ask": ["ask", path, query], "repl": ["repl", path]}
+    assert main(argv[command]) in range(4)
+    stdout.flush()
+    out = stdout.buffer.getvalue().decode("utf-8")
+    assert tag.encode("utf-8", "backslashreplace").decode("utf-8") in out
+
+
+def test_import_leaves_requests_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, scenequery.cli; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0

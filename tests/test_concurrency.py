@@ -312,10 +312,10 @@ class TestFaultInjectingSession:
     def test_concurrent_run_retries_and_equals_sequential(self, monkeypatch):
         tasks = tasks_for(range(4))
         plans = [FaultPlan(tasks, recoverable_script) for _ in range(3)]
-        monkeypatch.setattr("scenequery.llm.requests.Session", plans[0].session)
+        monkeypatch.setattr("requests.Session", plans[0].session)
         concurrent = run_eval(tasks, backend=http_backend(plans[0]))
         shared = run_eval(tasks, backend=http_backend(plans[1], session=plans[1].session()))
-        monkeypatch.setattr("scenequery.llm.requests.Session", plans[2].session)
+        monkeypatch.setattr("requests.Session", plans[2].session)
         sequential = run_eval(tasks, backend=OneAtATime(http_backend(plans[2])))
 
         assert concurrent.to_jsonl() == sequential.to_jsonl() == shared.to_jsonl()
@@ -334,7 +334,7 @@ class TestFaultInjectingSession:
         doomed = query_texts(tasks)[5]
         assert query_texts(tasks).count(doomed) == 1
         plan = FaultPlan(tasks, lambda text: [fault] * 4 if text == doomed else recoverable_script(text))
-        monkeypatch.setattr("scenequery.llm.requests.Session", plan.session)
+        monkeypatch.setattr("requests.Session", plan.session)
         with pytest.raises(TransportError, match="after 4 attempts"):
             run_eval(tasks, backend=http_backend(plan))
         assert [n for (_, text), n in plan.attempts.items() if text == doomed] == [4]
@@ -345,7 +345,7 @@ class TestFaultInjectingSession:
         doomed = query_texts(tasks)[5]
         assert query_texts(tasks).count(doomed) == 1
         plan = FaultPlan(tasks, lambda text: [fault] if text == doomed else [])
-        monkeypatch.setattr("scenequery.llm.requests.Session", plan.session)
+        monkeypatch.setattr("requests.Session", plan.session)
         with pytest.raises(LlmError, match="unexpected response shape") as info:
             run_eval(tasks, backend=http_backend(plan))
         assert not isinstance(info.value, TransportError)
@@ -369,7 +369,7 @@ class TestFaultInjectingSession:
                     barrier.wait()
                 return ok_response("a reply with no steps")
 
-        monkeypatch.setattr("scenequery.llm.requests.Session", MeetingSession)
+        monkeypatch.setattr("requests.Session", MeetingSession)
         tasks = tasks_for(range(8))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so a racy lazy set-up would show

@@ -17,7 +17,7 @@ from scenequery.llm import (
 from scenequery.oracle import QueryCategory, StructuredQuery
 from scenequery.parsing import parse_response, validate_grounding
 from scenequery.prompts import PromptBundle
-from scenequery.scene_model import SceneGraph
+from scenequery.scene_model import ObjectNode, SceneGraph, Vec3
 
 
 def bundle(text="system prompt"):
@@ -223,6 +223,18 @@ class TestOracleBackedMock:
             parsed = parse_response(text)
             assert validate_grounding(parsed, couch_pillow_scene) == []
             assert parsed.notes == ()
+
+    @pytest.mark.parametrize("tag", ["cup", '12" tv', "back\\slash", "tab\there", "bell\x07", "tête", "\ud800"])
+    def test_final_json_is_json_dumps_of_the_final_object(self, tag):
+        scene = SceneGraph(
+            nodes=(ObjectNode(1, Vec3(1, 1, 1), Vec3(0, 0, 1.5), tag), ObjectNode(2, Vec3(2, 2, 2), Vec3(0, 0, 0), "base"))
+        )
+        text = oracle_backed_mock(scene, StructuredQuery(QueryCategory.ON_TOP_OF, 1, 2))
+        step4 = next(line for line in text.split("\n") if line.startswith("STEP4"))
+        assert step4.endswith(" " + json.dumps({"object_tag": tag, "object_id": 1}, ensure_ascii=False))
+        parsed = parse_response(text)
+        assert (parsed.final_object_tag, parsed.final_object_id) == (tag, 1)
+        assert validate_grounding(parsed, scene) == []
 
 
 class TestComplete:

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scenequery.oracle import (
+    DECIDABLE_CATEGORIES,
     OracleConfig,
     QueryCategory,
     SizeOrdering,
     SpatialRelation,
     StructuredQuery,
-    UnknownIdError,
     answer_query_deterministic,
     can_contain,
     derive_edges,
@@ -150,7 +150,8 @@ class TestAnswerQuery:
         ans = answer_query_deterministic(
             couch_pillow_scene, StructuredQuery(QueryCategory.ON_TOP_OF, 27, 28)
         )
-        assert ans.supported and ans.verdict is True
+        assert ans.supported
+        assert ans.sentence == "Yes, the pillow (id: 27) is on top of the white couch (id: 28)."
         assert "vertical gap 0.05" in ans.explanation
         assert "pillow (id: 27) center [2.9, 2.5, -0.8]" in ans.explanation
 
@@ -158,7 +159,7 @@ class TestAnswerQuery:
         ans = answer_query_deterministic(
             couch_pillow_scene, StructuredQuery(QueryCategory.SIZE_COMPARE, 28, 27)
         )
-        assert ans.ordering is SizeOrdering.BIGGER
+        assert ans.sentence == "The white couch (id: 28) is bigger."
         assert ans.object_id == 28
 
     def test_affordance_unsupported(self, couch_pillow_scene):
@@ -168,10 +169,19 @@ class TestAnswerQuery:
         assert not ans.supported
 
     def test_unknown_id(self, couch_pillow_scene):
-        with pytest.raises(UnknownIdError):
-            answer_query_deterministic(
-                couch_pillow_scene, StructuredQuery(QueryCategory.ON_TOP_OF, 99, 28)
-            )
+        ans = answer_query_deterministic(
+            couch_pillow_scene, StructuredQuery(QueryCategory.ON_TOP_OF, 99, 28)
+        )
+        assert not ans.supported
+        assert ans.explanation == "query references objects not in the scene"
+        assert ans.object_id is None
+
+    @pytest.mark.parametrize("category", sorted(DECIDABLE_CATEGORIES))
+    def test_same_node_twice(self, couch_pillow_scene, category):
+        ans = answer_query_deterministic(couch_pillow_scene, StructuredQuery(category, 27, 27))
+        assert ans.supported and ans.object_id == 27
+        if category in (QueryCategory.ON_TOP_OF, QueryCategory.CONTAINMENT):
+            assert ans.sentence.startswith("No, the pillow (id: 27)")
 
 
 class TestInterpretQuery:
