@@ -26,7 +26,6 @@ from .scene_model import (
     ObjectNode,
     SceneGraph,
     SceneError,
-    SerializeOptions,
     Vec3,
     parse_scene,
     serialize_scene,

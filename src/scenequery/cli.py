@@ -310,8 +310,7 @@ def cmd_compact(args: argparse.Namespace, cfg: CliConfig) -> int:
     try:
         bundle = build_prompt(scene, query, budget=cfg.eval.budget)
     except BudgetInfeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _pipeline_failure(exc)
     payload = {
         "scene_estimate_before": before,
         "prompt_estimate_after": bundle.token_estimate,

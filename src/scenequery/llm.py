@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
-from .oracle import OracleConfig, StructuredQuery, answer_query_deterministic, interpret_query
+from .oracle import OracleConfig, StructuredQuery, answer_query_deterministic, interpret_query, require_finite
 from .prompts import PromptBundle
 from .scene_model import SceneGraph
 
@@ -56,13 +56,15 @@ class LlmConfig:
     max_retries: int = 2
 
     def __post_init__(self):
+        require_finite(self, ("temperature", "max_output_tokens", "timeout", "max_retries"))
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
     def resolved_base_url(self) -> str:
-        return (self.base_url or os.environ.get(API_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
+        """SCENEGPT_API_URL, else the configured base_url, else the OpenAI API."""
+        return (os.environ.get(API_URL_ENV) or self.base_url or DEFAULT_BASE_URL).rstrip("/")
 
 
 DEFAULT_MAX_IN_FLIGHT = 8

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -63,6 +64,17 @@ DECIDABLE_CATEGORIES = frozenset(
 )
 
 
+def require_finite(obj, names: tuple[str, ...]) -> None:
+    """Raise ValueError unless each named field of a config is an int or
+    float within the float range. json reads NaN and Infinity, and a bool
+    is an int to Python; neither is a threshold, a timeout or a count."""
+    for name in names:
+        value = getattr(obj, name)
+        # `not <=`: NaN compares false.
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     near_threshold: float = 1.0
@@ -70,7 +82,9 @@ class OracleConfig:
     similar_volume_ratio: float = 1.1
 
     def __post_init__(self):
-        for name in ("near_threshold", "vertical_gap_tolerance", "similar_volume_ratio"):
+        names = ("near_threshold", "vertical_gap_tolerance", "similar_volume_ratio")
+        require_finite(self, names)
+        for name in names:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 

@@ -1,7 +1,8 @@
 """Prompt assembly under a token budget.
 
 The system prompt is a fixed template with three placeholders
-({scenegraph}, {examples}, {input}). Every prompt carries the same
+({scenegraph}, {examples}, {input}), filled in one pass, so placeholder
+text in a scene or query is kept verbatim. Every prompt carries the same
 in-context examples: the packaged demonstrations in examples.json, in
 file order. When the serialized scene pushes the estimate past the
 budget, the scene is compacted step by step: captions go first, then
@@ -27,7 +28,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .scene_model import ObjectNode, SceneGraph, SerializeOptions, encoded_nodes, serialize_scene
+from .scene_model import ObjectNode, SceneGraph, encoded_nodes
 
 DEFAULT_TOKEN_BUDGET = 16000
 
@@ -59,36 +60,30 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-@functools.cache
 def load_template() -> str:
-    # The packaged file does not change while the process runs.
+    """The packaged template, placeholders unfilled."""
     return resources.files("scenequery.data").joinpath("system_prompt.txt").read_text(encoding="utf-8")
 
 
 @functools.cache
-def load_examples() -> str:
-    """The packaged demonstrations, rendered as the template's {examples} text."""
+def template_parts() -> tuple[str, str, str]:
+    """(head, middle, tail): a prompt is head + scene JSON + middle + query
+    + tail. The demonstrations are already in the middle, in place of
+    {examples}."""
     raw = json.loads(resources.files("scenequery.data").joinpath("examples.json").read_text(encoding="utf-8"))
-    return "\n\n".join(f'QUESTION = "{e["question"]}"\n\nANSWER = "{e["answer"]}"' for e in raw)
+    examples = "\n\n".join(f'QUESTION = "{e["question"]}"\n\nANSWER = "{e["answer"]}"' for e in raw)
+    head, rest = load_template().split("{scenegraph}")
+    middle, tail = rest.split("{input}")
+    return head, middle.replace("{examples}", examples), tail
 
 
-def render_template(template: str, scene_json: str, examples_text: str, query: str) -> str:
-    # str.replace, not str.format: the scene JSON is full of braces.
-    return (
-        template.replace("{scenegraph}", scene_json)
-        .replace("{examples}", examples_text)
-        .replace("{input}", query)
-    )
-
-
-def options_for_actions(actions: list[str]) -> SerializeOptions:
-    omit = set()
-    if ACTION_DROP_CAPTIONS in actions:
-        omit.add("caption")
-    if ACTION_DROP_ATTRIBUTES in actions:
-        omit.update({"color", "material"})
-    return SerializeOptions(omit=frozenset(omit))
-
+# The scene forms compaction tries before pruning, in order: the actions
+# that give each form and the node fields it leaves out.
+_FORMS = (
+    ((), frozenset()),
+    ((ACTION_DROP_CAPTIONS,), frozenset({"caption"})),
+    ((ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES), frozenset({"caption", "color", "material"})),
+)
 
 _WORD = re.compile(r"[a-z0-9]+")
 
@@ -104,14 +99,14 @@ def compact_scene(
     """Shrink the scene until template_overhead + scene estimate fits budget.
 
     Returns the kept scene, the applied actions and the kept scene's JSON
-    under those actions' options. Reductions are applied in a fixed order
+    in the form they give. Reductions are applied in a fixed order
     and each applied action is recorded. Nodes whose tag occurs verbatim
     in the query are never pruned; if the budget still cannot be met once
     everything else is gone, BudgetInfeasible reports the overflow.
 
-    The nodes' JSON for the pruning options comes from the scene's
-    serialization cache; the serialized length of the kept nodes is kept
-    up to date by subtraction, so a fit check costs O(1) however many
+    Each form's node JSON comes from the scene's serialization cache and
+    is joined only if it fits. The serialized length of the kept nodes is
+    kept up to date by subtraction, so a fit check costs O(1) however many
     nodes are pruned.
     """
 
@@ -122,45 +117,42 @@ def compact_scene(
     if budget <= template_overhead:
         raise BudgetInfeasible(template_overhead - budget + 1)
 
-    for actions in ([], [ACTION_DROP_CAPTIONS]):
-        scene_json = serialize_scene(scene, options_for_actions(actions))
-        if overflow(len(scene_json)) <= 0:
-            return scene, actions, scene_json
+    for actions, omit in _FORMS:
+        encoded = encoded_nodes(scene, omit)
+        # The length of "[" + ", ".join(encoded) + "]", as serialize_scene writes it.
+        length = sum(map(len, encoded)) + max(2 * len(encoded), 2)
+        if overflow(length) <= 0:
+            return scene, list(actions), "[" + ", ".join(encoded) + "]"
 
-    actions = [ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES]
-    opts = options_for_actions(actions)
-    # The scene JSON is "[" + ", ".join(these) + "]", as serialize_scene writes it.
-    encoded = dict(zip((n.id for n in scene.nodes), encoded_nodes(scene, opts)))
-    length = len(", ".join(encoded.values())) + 2
+    # Prune from the last form. Recorded for the canonical order;
+    # serialization already rounds to one decimal, so this step changes no
+    # byte and needs no new check.
+    actions = [*actions, ACTION_ROUND_NUMERICS]
+    by_id = dict(zip((n.id for n in scene.nodes), encoded))
     pruned: set[int] = set()
-    if overflow(length) > 0:
-        # Recorded for the canonical order; serialization already rounds to
-        # one decimal, so this step changes no byte and needs no new check.
-        actions.append(ACTION_ROUND_NUMERICS)
-        lowered = query.lower()
-        query_words = set(_WORD.findall(lowered))
-        protected = {n.id for n in scene.nodes if n.object_tag.lower() in lowered}
-        # Least relevant first; ties pruned from the back of the node list.
-        prunable = sorted(
-            (n for n in scene.nodes if n.id not in protected),
-            key=lambda n: (_relevance(n, query_words), -n.id),
-        )
-        if not protected and prunable:
-            # Never empty the scene entirely; keep the most relevant node.
-            prunable = prunable[:-1]
-        for victim in prunable:
-            pruned.add(victim.id)
-            # A node always remains, so each prune also removes one ", ".
-            length -= len(encoded[victim.id]) + 2
-            actions.append(f"{ACTION_PRUNE_NODE}:{victim.id}")
-            if overflow(length) <= 0:
-                break
-        else:
-            raise BudgetInfeasible(overflow(length))
+    lowered = query.lower()
+    query_words = set(_WORD.findall(lowered))
+    protected = {n.id for n in scene.nodes if n.object_tag.lower() in lowered}
+    # Least relevant first; ties pruned from the back of the node list.
+    prunable = sorted(
+        (n for n in scene.nodes if n.id not in protected),
+        key=lambda n: (_relevance(n, query_words), -n.id),
+    )
+    if not protected and prunable:
+        # Never empty the scene entirely; keep the most relevant node.
+        prunable = prunable[:-1]
+    for victim in prunable:
+        pruned.add(victim.id)
+        # A node always remains, so each prune also removes one ", ".
+        length -= len(by_id[victim.id]) + 2
+        actions.append(f"{ACTION_PRUNE_NODE}:{victim.id}")
+        if overflow(length) <= 0:
+            break
+    else:
+        raise BudgetInfeasible(overflow(length))
 
     kept = tuple(n for n in scene.nodes if n.id not in pruned)
-    scene_json = "[" + ", ".join(encoded[n.id] for n in kept) + "]"
-    return SceneGraph(nodes=kept), actions, scene_json
+    return SceneGraph(nodes=kept), actions, "[" + ", ".join(by_id[n.id] for n in kept) + "]"
 
 
 def build_prompt(scene: SceneGraph, query: str, budget: int = DEFAULT_TOKEN_BUDGET) -> PromptBundle:
@@ -169,11 +161,11 @@ def build_prompt(scene: SceneGraph, query: str, budget: int = DEFAULT_TOKEN_BUDG
     The returned bundle is always within budget; otherwise
     BudgetInfeasible is raised.
     """
-    template, examples = load_template(), load_examples()
-    overhead = estimate_tokens(render_template(template, "", examples, query))
+    head, middle, tail = template_parts()
+    overhead = math.ceil((len(head) + len(middle) + len(query) + len(tail)) / 4)
 
     scene, actions, scene_json = compact_scene(scene, query, budget, overhead)
-    system_text = render_template(template, scene_json, examples, query)
+    system_text = head + scene_json + middle + query + tail
     return PromptBundle(
         system_text=system_text,
         token_estimate=estimate_tokens(system_text),

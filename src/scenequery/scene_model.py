@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 # JSON keys, in canonical output order.
 NODE_KEYS = ("id", "bbox_extent", "bbox_center", "object_tag", "caption", "color", "material")
@@ -100,14 +100,6 @@ class SceneGraph:
     @functools.cached_property
     def _encoded_fields(self) -> tuple[_NodeFields, ...]:
         return tuple(_encode_fields(n) for n in self.nodes)
-
-
-@dataclass(frozen=True)
-class SerializeOptions:
-    """Controls for scene serialization: `omit` names the fields left out
-    of the output entirely. Box numbers are always rounded to one decimal."""
-
-    omit: frozenset[str] = frozenset()
 
 
 def _parse_vec3(value: Any, index: int, field_name: str) -> Vec3:
@@ -264,21 +256,21 @@ def _node_json(fields: _NodeFields, omit: frozenset[str]) -> str:
     return "{" + ", ".join(items.values()) + "}"
 
 
-def encoded_nodes(scene: SceneGraph, opts: SerializeOptions = SerializeOptions()) -> tuple[str, ...]:
-    """Each node's JSON object under `opts`, in node order: the items of
-    serialize_scene's array. Each node is encoded once per scene, and each
-    omit set is joined once per scene."""
-    omit = frozenset(opts.omit)
+def encoded_nodes(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> tuple[str, ...]:
+    """Each node's JSON object without the fields named in `omit`, in node
+    order: the items of serialize_scene's array. Each node is encoded once
+    per scene, and each omit set is joined once per scene."""
+    omit = frozenset(omit)
     out = scene._json_by_omit.get(omit)
     if out is None:
         out = scene._json_by_omit[omit] = tuple(_node_json(f, omit) for f in scene._encoded_fields)
     return out
 
 
-def serialize_scene(scene: SceneGraph, opts: SerializeOptions = SerializeOptions()) -> str:
-    """Serialize to the canonical JSON array, keys in fixed order: the
-    bytes json.dumps writes for a list of node objects."""
-    return "[" + ", ".join(encoded_nodes(scene, opts)) + "]"
+def serialize_scene(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> str:
+    """The canonical JSON array without the fields named in `omit`: the bytes
+    json.dumps writes for the node objects, box numbers at one decimal."""
+    return "[" + ", ".join(encoded_nodes(scene, omit)) + "]"
 
 
 def scene_issues(json_text: str) -> tuple[int, list[SceneError]]:

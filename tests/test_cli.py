@@ -592,6 +592,38 @@ class TestConfig:
         assert main(["--config", str(config), "ask", couch_pillow_file, "where is the pillow?"]) == 2
         assert_one_error_line(capsys.readouterr(), f"error: bad configuration: {message}")
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), True], ids=["nan", "inf", "-inf", "bool"]
+    )
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("oracle", "near_threshold"),
+            ("oracle", "vertical_gap_tolerance"),
+            ("oracle", "similar_volume_ratio"),
+            ("llm", "temperature"),
+            ("llm", "max_output_tokens"),
+            ("llm", "timeout"),
+            ("llm", "max_retries"),
+        ],
+    )
+    def test_config_number_that_is_not_finite_rejected(self, couch_pillow_file, tmp_path, capsys, section, key, value):
+        config = tmp_path / "cfg.json"
+        # json writes NaN and Infinity, and json.load reads them back.
+        config.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+        assert main(["--config", str(config), "describe", couch_pillow_file, "--relations"]) == 2
+        message = f"error: bad configuration: {key} must be a finite number, got {value!r}"
+        assert_one_error_line(capsys.readouterr(), message)
+
+    def test_env_api_url_beats_config_file(self, tmp_path, monkeypatch):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"llm": {"base_url": "http://file.test/v1"}}), encoding="utf-8")
+        args = build_parser().parse_args(["validate", "scene.json"])
+        monkeypatch.delenv("SCENEGPT_API_URL", raising=False)
+        assert cli.load_config(str(config), args).eval.llm.resolved_base_url() == "http://file.test/v1"
+        monkeypatch.setenv("SCENEGPT_API_URL", "http://env.test/v1")
+        assert cli.load_config(str(config), args).eval.llm.resolved_base_url() == "http://env.test/v1"
+
     def test_config_budget_and_strict_parse_read(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"budget": 900, "strict_parse": True}), encoding="utf-8")

@@ -256,4 +256,6 @@ class TestLlmConfig:
     def test_env_base_url(self, monkeypatch):
         monkeypatch.setenv("SCENEGPT_API_URL", "http://env.test/v1/")
         assert LlmConfig().resolved_base_url() == "http://env.test/v1"
-        assert LlmConfig(base_url="http://flag.test").resolved_base_url() == "http://flag.test"
+        assert LlmConfig(base_url="http://file.test").resolved_base_url() == "http://env.test/v1"
+        monkeypatch.delenv("SCENEGPT_API_URL")
+        assert LlmConfig(base_url="http://file.test/").resolved_base_url() == "http://file.test"

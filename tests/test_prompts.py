@@ -16,8 +16,7 @@ from scenequery.prompts import (
     compact_scene,
     estimate_tokens,
     load_template,
-    options_for_actions,
-    render_template,
+    template_parts,
 )
 from scenequery.scene_model import NODE_KEYS, ObjectNode, SceneGraph, Vec3, parse_scene, serialize_scene
 
@@ -47,6 +46,26 @@ def packaged_examples():
 
 def reference_examples_text():
     return "\n\n".join(f'QUESTION = "{e["question"]}"\n\nANSWER = "{e["answer"]}"' for e in packaged_examples())
+
+
+PLACEHOLDERS = ("{scenegraph}", "{examples}", "{input}")
+
+
+def reference_render(scene_json, query):
+    """The template filled in one pass: text put in for a placeholder is
+    never searched for placeholders itself."""
+    values = dict(zip(PLACEHOLDERS, (scene_json, reference_examples_text(), query)))
+    return re.sub("|".join(map(re.escape, PLACEHOLDERS)), lambda m: values[m.group()], load_template())
+
+
+def reference_omit(actions):
+    """The node fields the attribute-dropping actions leave out."""
+    omit = set()
+    if ACTION_DROP_CAPTIONS in actions:
+        omit.add("caption")
+    if ACTION_DROP_ATTRIBUTES in actions:
+        omit.update({"color", "material"})
+    return omit
 
 
 def examples_block(scene, query):
@@ -127,8 +146,20 @@ class TestBuildPrompt:
     def test_template_placeholders_filled(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
         bundle = build_prompt(scene, "q")
-        for placeholder in ("{scenegraph}", "{examples}", "{input}"):
+        for placeholder in PLACEHOLDERS:
             assert placeholder not in bundle.system_text
+
+    def test_placeholder_text_in_scene_and_query_kept_verbatim(self):
+        node = ObjectNode(
+            4, Vec3(1, 1, 1), Vec3(0, 0, 0.5), "box {examples}", "holds {input} and {scenegraph}",
+            extra=(("note", "{scenegraph}{examples}{input}"),),
+        )
+        scene, query = SceneGraph(nodes=(node,)), "is the box {examples} near {input} or {scenegraph}?"
+        bundle = build_prompt(scene, query, budget=800)
+        for text in (node.object_tag, node.caption, node.extra[0][1], query):
+            assert text in bundle.system_text
+        assert bundle.system_text == reference_render(serialize_scene(scene), query)
+        assert bundle.token_estimate == estimate_tokens(bundle.system_text) <= 800
 
 
 class TestCompactScene:
@@ -159,8 +190,6 @@ class TestCompactScene:
         assert any(n.object_tag == "vase" for n in compacted.nodes)
 
     def test_monotone_token_estimate(self):
-        from scenequery.prompts import options_for_actions
-
         scene = big_scene(node_count=40)
         overhead = 300
         budget = overhead + 50
@@ -173,7 +202,7 @@ class TestCompactScene:
         actions: list[str] = []
         for action in (ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES, ACTION_ROUND_NUMERICS):
             actions.append(action)
-            estimates.append(estimate_tokens(serialize_scene(scene, options_for_actions(actions))))
+            estimates.append(estimate_tokens(serialize_scene(scene, reference_omit(actions))))
         assert estimates == sorted(estimates, reverse=True)
 
     def test_budget_infeasible(self):
@@ -190,9 +219,13 @@ class TestCompactScene:
 
 def test_template_asset_loads():
     template = load_template()
-    for placeholder in ("{scenegraph}", "{examples}", "{input}"):
-        assert placeholder in template
+    # Each placeholder once, in this order: the template splits around them.
+    assert [template.count(p) for p in PLACEHOLDERS] == [1, 1, 1]
+    assert sorted(PLACEHOLDERS, key=template.index) == list(PLACEHOLDERS)
     assert "STEP1" in template and "STEP-5" in template
+    head, middle, tail = template_parts()
+    filled = template.replace("{examples}", reference_examples_text())
+    assert head + "{scenegraph}" + middle + "{input}" + tail == filled
 
 
 # --- reference compaction ----------------------------------------------------
@@ -216,19 +249,18 @@ def reference_compact_scene(scene, query, budget, template_overhead):
     actions = []
     current = scene
 
-    def fits():
-        opts = options_for_actions(actions)
-        return template_overhead + estimate_tokens(serialize_scene(current, opts)) <= budget
+    def overflow():
+        return template_overhead + estimate_tokens(serialize_scene(current, reference_omit(actions))) - budget
 
     if budget <= template_overhead:
         raise BudgetInfeasible(template_overhead - budget + 1)
-    if fits():
+    if overflow() <= 0:
         return current, []
     for action in (ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES, ACTION_ROUND_NUMERICS):
         actions.append(action)
         if action == ACTION_ROUND_NUMERICS:
             current = SceneGraph(nodes=tuple(_reference_round_node(n) for n in current.nodes))
-        if fits():
+        if overflow() <= 0:
             return current, actions
 
     def relevance(node):
@@ -243,22 +275,19 @@ def reference_compact_scene(scene, query, budget, template_overhead):
     for victim in prunable:
         current = SceneGraph(nodes=tuple(n for n in current.nodes if n.id != victim.id))
         actions.append(f"{ACTION_PRUNE_NODE}:{victim.id}")
-        if fits():
+        if overflow() <= 0:
             return current, actions
-    opts = options_for_actions(actions)
-    raise BudgetInfeasible(template_overhead + estimate_tokens(serialize_scene(current, opts)) - budget)
+    raise BudgetInfeasible(overflow())
 
 
 def reference_build_prompt(scene, query, budget):
-    template = load_template()
-    examples_text = reference_examples_text()
-    overhead = estimate_tokens(render_template(template, "", examples_text, query))
+    overhead = overhead_for(query)
     actions = []
     scene_json = serialize_scene(scene)
     if overhead + estimate_tokens(scene_json) > budget:
         scene, actions = reference_compact_scene(scene, query, budget, overhead)
-        scene_json = serialize_scene(scene, options_for_actions(actions))
-    system_text = render_template(template, scene_json, examples_text, query)
+        scene_json = serialize_scene(scene, reference_omit(actions))
+    system_text = reference_render(scene_json, query)
     return PromptBundle(system_text, estimate_tokens(system_text), tuple(n.id for n in scene.nodes), tuple(actions))
 
 
@@ -271,11 +300,11 @@ def outcome(build, scene, query, budget):
 
 
 def overhead_for(query):
-    return estimate_tokens(render_template(load_template(), "", reference_examples_text(), query))
+    return estimate_tokens(reference_render("", query))
 
 
 def scene_tokens(scene, actions):
-    return estimate_tokens(serialize_scene(scene, options_for_actions(actions)))
+    return estimate_tokens(serialize_scene(scene, reference_omit(actions)))
 
 
 STOPS = ("fits", "captions", "attributes", "mid_prune", "prune_boundary", "infeasible", "below_overhead")
@@ -380,7 +409,7 @@ def test_build_prompt_matches_reference(data, scene, stop, pick):
     reference_kept, reference_actions = reference_compact_scene(scene, query, budget, overhead)
     assert [n.id for n in kept.nodes] == [n.id for n in reference_kept.nodes]
     assert actions == reference_actions
-    assert scene_json == serialize_scene(reference_kept, options_for_actions(reference_actions))
+    assert scene_json == serialize_scene(reference_kept, reference_omit(reference_actions))
 
 
 def captioned_scene():

@@ -12,7 +12,6 @@ from scenequery.scene_model import (
     ObjectNode,
     SceneError,
     SceneGraph,
-    SerializeOptions,
     Vec3,
     encoded_nodes,
     parse_scene,
@@ -148,7 +147,7 @@ class TestSerializeScene:
 
     def test_omit_caption(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
-        text = serialize_scene(scene, SerializeOptions(omit=frozenset({"caption"})))
+        text = serialize_scene(scene, frozenset({"caption"}))
         out = json.loads(text)
         assert all("caption" not in node for node in out)
         reparsed = parse_scene(text)
@@ -246,7 +245,7 @@ def test_scene_issues_collects_all():
 # caches the pieces, must write exactly these bytes.
 
 
-def reference_node_to_dict(node, opts=SerializeOptions()):
+def reference_node_to_dict(node, omit=frozenset()):
     out = {
         "id": node.id,
         "bbox_extent": [round(c, 1) + 0.0 for c in node.bbox_extent],
@@ -255,15 +254,15 @@ def reference_node_to_dict(node, opts=SerializeOptions()):
     }
     for key in OPTIONAL_TEXT_KEYS:
         out[key] = getattr(node, key)
-    for key in opts.omit:
+    for key in omit:
         out.pop(key, None)
     for key, value in node.extra:
         out[key] = value
     return out
 
 
-def reference_serialize_scene(scene, opts=SerializeOptions()):
-    return json.dumps([reference_node_to_dict(n, opts) for n in scene.nodes])
+def reference_serialize_scene(scene, omit=frozenset()):
+    return json.dumps([reference_node_to_dict(n, omit) for n in scene.nodes])
 
 
 ALL_OMITS = [frozenset(c) for r in range(len(NODE_KEYS) + 1) for c in itertools.combinations(NODE_KEYS, r)]
@@ -327,8 +326,7 @@ def test_serialize_scene_matches_reference(scene):
     """Every subset of NODE_KEYS as omit, each serialized twice: the second
     time from the scene's cache. A name outside NODE_KEYS omits nothing."""
     for omit in ALL_OMITS + [frozenset({"tags"})]:
-        opts = SerializeOptions(omit=omit)
-        expected = reference_serialize_scene(scene, opts)
-        assert serialize_scene(scene, opts) == expected
-        assert serialize_scene(scene, SerializeOptions(omit=set(omit))) == expected
-        assert encoded_nodes(scene, opts) == tuple(json.dumps(reference_node_to_dict(n, opts)) for n in scene.nodes)
+        expected = reference_serialize_scene(scene, omit)
+        assert serialize_scene(scene, omit) == expected
+        assert serialize_scene(scene, set(omit)) == expected
+        assert encoded_nodes(scene, omit) == tuple(json.dumps(reference_node_to_dict(n, omit)) for n in scene.nodes)
