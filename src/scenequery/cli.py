@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -60,21 +60,18 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> CliConfig:
             fields["oracle"] = OracleConfig(**raw["oracle"])
         if "llm" in raw:
             fields["llm"] = llm_mod.LlmConfig(**raw["llm"])
-        # type(), not isinstance(): a bool is an int, but no budget.
-        for key, kind, name in (("budget", int, "an integer"), ("strict_parse", bool, "true or false")):
+        for key in ("budget", "strict_parse"):
             if key in raw:
-                if type(raw[key]) is not kind:
-                    raise ValueError(f"{key} must be {name}, got {raw[key]!r}")
                 fields[key] = raw[key]
 
+    # Built before the flags apply, so a bad file value is reported even
+    # where a flag overrides it.
+    cfg = EvalConfig(**fields)
     if getattr(args, "budget", None) is not None:
-        fields["budget"] = args.budget
+        cfg = replace(cfg, budget=args.budget)
     if getattr(args, "strict", False):
-        fields["strict_parse"] = True
-    cfg = CliConfig(eval=EvalConfig(**fields), output_format=getattr(args, "format", None) or "text")
-    if cfg.eval.budget <= 0:
-        raise ValueError("token budget must be positive")
-    return cfg
+        cfg = replace(cfg, strict_parse=True)
+    return CliConfig(eval=cfg, output_format=getattr(args, "format", None) or "text")
 
 
 def _read_scene(path: str) -> SceneGraph:

@@ -296,6 +296,15 @@ class EvalConfig:
     llm: llm_mod.LlmConfig = field(default_factory=llm_mod.LlmConfig)
     strict_parse: bool = False
 
+    def __post_init__(self):
+        # type(), not isinstance(): a bool is an int, but no budget.
+        if type(self.budget) is not int:
+            raise ValueError(f"budget must be an integer, got {self.budget!r}")
+        if self.budget < 1:
+            raise ValueError("token budget must be positive")
+        if type(self.strict_parse) is not bool:
+            raise ValueError(f"strict_parse must be true or false, got {self.strict_parse!r}")
+
 
 VERDICTS = ("correct", "incorrect", "ungrounded", "unparseable")
 

@@ -59,8 +59,13 @@ class LlmConfig:
         require_finite(self, ("temperature", "max_output_tokens", "timeout", "max_retries"))
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        # type(), not isinstance(): a bool is an int, but no count.
+        for name, least in (("max_output_tokens", 1), ("max_retries", 0)):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     def resolved_base_url(self) -> str:
         """SCENEGPT_API_URL, else the configured base_url, else the OpenAI API."""

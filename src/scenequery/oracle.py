@@ -14,7 +14,6 @@ Objects are referred to as `tag (id: N)` (`object_ref`), the form
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import sys
@@ -250,102 +249,83 @@ def near(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig()) -> bo
 def derive_edges(scene: SceneGraph, cfg: OracleConfig = OracleConfig()) -> list[tuple[int, SpatialRelation, int]]:
     """OnTopOf/Near edges over every ordered node pair.
 
-    Only candidate pairs are tested, each unordered pair at most once
-    per relation: a hash grid over the centres finds the pairs that may
-    be near, and a sweep over the boxes in min-x order, bucketed by y
-    band, finds the pairs whose footprints may overlap. Neither filter
-    drops a pair its predicate would accept, and the tests are the ones
-    `near` and `on_top_of` make, so the result equals testing every
-    ordered pair with them.
+    One sweep finds the candidate pairs: each box gets an interval on x
+    and on y that covers its footprint and its centre ± half the near
+    threshold, and a pair is a candidate when both of its intervals
+    overlap. A pair whose centres are within the threshold, or whose
+    footprints touch, is always a candidate. Each candidate pair is
+    tested once, with the tests `near` and `on_top_of` make, so the
+    result equals testing every ordered pair with them.
 
     Output is sorted by (subject id, relation name, object id) so the
     edge list is stable for a given scene.
     """
-    edges = _near_edges(scene.nodes, cfg.near_threshold)
-    edges += _on_top_of_edges(scene.nodes, cfg.vertical_gap_tolerance)
-    # SpatialRelation members compare as their str values.
-    edges.sort()
-    return edges
-
-
-# The neighbour cells after a cell in key order: each pair of adjacent
-# cells is met once, from the earlier of the two.
-_LATER_CELLS = tuple(o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0, 0, 0))
-
-
-def _near_edges(nodes: tuple[ObjectNode, ...], threshold: float) -> list[tuple[int, SpatialRelation, int]]:
-    # `near` accepts centres up to half a snapping step (5e-10) farther
-    # apart than the threshold, and rounding `c / cell` shifts a centre
-    # by up to 2**-53 * |c| in distance. A cell wider than the threshold
-    # by more than both keeps every near pair's centres in the same or
-    # adjacent cells on each axis. Each pair is tested once, from its
-    # earlier node in a shared cell or from the earlier of two adjacent
-    # cells; the distance is symmetric, so both directed edges follow.
-    reach = max((abs(c) for n in nodes for c in n.bbox_center), default=0.0)
-    cell = (threshold + 1e-9) * (1 + 2**-40) + reach * 2**-40
-    cells: dict[tuple[int, int, int], list[tuple[int, Vec3]]] = defaultdict(list)
-    for n in nodes:
-        x, y, z = n.bbox_center
-        cells[math.floor(x / cell), math.floor(y / cell), math.floor(z / cell)].append((n.id, n.bbox_center))
-    edges = []
-    for (i, j, k), members in cells.items():
-        adjacent = [b for di, dj, dk in _LATER_CELLS for b in cells.get((i + di, j + dj, k + dk), ())]
-        for rank, (a_id, a) in enumerate(members, 1):
-            for b_id, b in members[rank:] + adjacent:
-                if _distance(a, b) <= threshold:
-                    edges.append((a_id, SpatialRelation.NEAR, b_id))
-                    edges.append((b_id, SpatialRelation.NEAR, a_id))
-    return edges
-
-
-def _on_top_of_edges(nodes: tuple[ObjectNode, ...], tolerance: float) -> list[tuple[int, SpatialRelation, int]]:
-    # Sweep the boxes in min-x order. A box leaves the active lists once
-    # the snapped x difference that `_footprints_overlap` tests goes
-    # negative; that difference only falls as min x grows, so the box
-    # could overlap no later box either.
-    #
-    # Active boxes sit in y bands. The y test passes only if each box's
-    # y span, widened by half a snapping step (5e-10), meets the other's.
-    # Each box is filed under every band its y span meets once widened
-    # by `margin`, which covers that half step plus the rounding of
-    # `y + margin` (at most 2**-53 * |y|), so two boxes the y test could
-    # pass share a band. Flooring `y / width` is monotone in y, so their
-    # shared bands run up from the later of their first bands, and the
-    # pair is tested in that band only. With the band width at least the
-    # mean y extent, the boxes fill about three bands each on average,
-    # however wide one of them is.
-    boxes = [(_box(n), n.id) for n in nodes]
-    if len(boxes) < 2:
+    if len(scene.nodes) < 2:
         return []
-    reach = max(abs(y) for box, _ in boxes for y in box[2:4])
+    threshold, tolerance = cfg.near_threshold, cfg.vertical_gap_tolerance
+    half = threshold * 0.5
+    # Per box: centre x and y, and the interval's half width on each axis.
+    # Rounding is monotone, so `cx - max(hx, half)` is the lower of the
+    # footprint's face `cx - hx` and `cx - half`: the union of the spans.
+    halves = [
+        (n.bbox_center[0], n.bbox_center[1], max(n.bbox_extent[0] * 0.5, half), max(n.bbox_extent[1] * 0.5, half))
+        for n in scene.nodes
+    ]
+    reach = max(max(abs(cx) + rx, abs(cy) + ry) for cx, cy, rx, ry in halves)
     if reach < 2.0**1000:
+        # The tests accept a difference up to half a snapping step (5e-10)
+        # past a face or past the threshold, and rounding in an interval
+        # bound or in a tested difference errs by far less than
+        # reach * 2**-40. Widened by `margin` on each side, the intervals
+        # of a pair either test could pass overlap, so plain comparisons
+        # decide the candidates.
         margin = 1e-9 + reach * 2**-40
-        width = max(sum(box[3] - box[2] for box, _ in boxes) / len(boxes), margin)
-        spans = [
-            (box, box_id, math.floor((box[2] - margin) / width), math.floor((box[3] + margin) / width))
-            for box, box_id in boxes
-        ]
+        intervals = [(cx - rx - margin, cx + rx + margin, cy - ry - margin, cy + ry + margin)
+                     for cx, cy, rx, ry in halves]
+        # The mean y interval, at least 2 * margin wide: a box meets about
+        # three bands, and `y / width` stays finite.
+        width = sum(hi - lo for _, _, lo, hi in intervals) / len(intervals)
+        bands = [(math.floor(lo / width), math.floor(hi / width)) for _, _, lo, hi in intervals]
     else:
-        # Faces this close to the float limit may be infinite or overflow
-        # once widened, so one band holds every box.
-        spans = [(box, box_id, 0, 0) for box, box_id in boxes]
-    spans.sort(key=lambda span: span[0][0])
-    bands: dict[int, list[tuple[Box, int, int, int]]] = defaultdict(list)
+        # Bounds this close to the float limit may be infinite or overflow
+        # once widened, so every box gets the same point interval and
+        # band, and every pair is a candidate.
+        intervals = [(0.0, 0.0, 0.0, 0.0)] * len(halves)
+        bands = [(0, 0)] * len(halves)
+    spans = sorted(
+        ((*interval, *band, _box(n), n.bbox_center, n.id) for n, interval, band in zip(scene.nodes, intervals, bands)),
+        key=lambda span: span[0],
+    )
+    # Sweep in order of interval start on x. An active box leaves a band
+    # once its interval ends before the current start: later starts are
+    # no smaller, so it overlaps no later box either. Active boxes sit
+    # in every y band their interval meets. Flooring `y / width` is
+    # monotone in y, so two overlapping intervals share the bands from
+    # the later of their first bands on, and the pair is tested in that
+    # band only.
+    active_in: dict[int, list] = defaultdict(list)
     edges = []
     for span in spans:
-        a, a_id, first, last = span
-        min_x = a[0]
+        lo_x, _, lo_y, hi_y, first, last, a, a_centre, a_id = span
         for band in range(first, last + 1):
-            active = [s for s in bands[band] if s[0][1] - min_x >= 0 or _snap(s[0][1] - min_x) >= 0]
-            for b, b_id, b_first, _ in active:
-                if (band == first or band == b_first) and _footprints_overlap(a, b):
+            active = [s for s in active_in[band] if s[1] >= lo_x]
+            for _, _, b_lo_y, b_hi_y, b_first, _, b, b_centre, b_id in active:
+                if not (b_hi_y >= lo_y and hi_y >= b_lo_y and (band == first or band == b_first)):
+                    continue
+                if _footprints_overlap(a, b):
                     rise = _rise(a, b)
                     if rise > 0 and _rests_on(a, b, tolerance):
                         edges.append((a_id, SpatialRelation.ON_TOP_OF, b_id))
                     elif rise < 0 and _rests_on(b, a, tolerance):
                         edges.append((b_id, SpatialRelation.ON_TOP_OF, a_id))
+                # The distance is symmetric, so one test gives both edges.
+                if _distance(a_centre, b_centre) <= threshold:
+                    edges.append((a_id, SpatialRelation.NEAR, b_id))
+                    edges.append((b_id, SpatialRelation.NEAR, a_id))
             active.append(span)
-            bands[band] = active
+            active_in[band] = active
+    # SpatialRelation members compare as their str values.
+    edges.sort()
     return edges
 
 

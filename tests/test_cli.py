@@ -615,6 +615,43 @@ class TestConfig:
         message = f"error: bad configuration: {key} must be a finite number, got {value!r}"
         assert_one_error_line(capsys.readouterr(), message)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("max_retries", 2.5, "max_retries must be an integer, got 2.5"),
+            ("max_retries", 2.0, "max_retries must be an integer, got 2.0"),
+            ("max_retries", -1, "max_retries must be >= 0"),
+            ("max_output_tokens", 512.5, "max_output_tokens must be an integer, got 512.5"),
+            ("max_output_tokens", 0, "max_output_tokens must be >= 1"),
+            ("max_output_tokens", -3, "max_output_tokens must be >= 1"),
+        ],
+    )
+    def test_config_count_that_is_not_a_whole_number_rejected(
+        self, couch_pillow_file, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        # A live ask reads the config before any request is made, so a
+        # dummy key and an unreachable local URL are never used.
+        monkeypatch.setenv("SCENEGPT_API_KEY", "dummy")
+        monkeypatch.setenv("SCENEGPT_API_URL", "http://127.0.0.1:9/v1")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"llm": {key: value}}), encoding="utf-8")
+        argv = ["--config", str(config), "ask", couch_pillow_file, "where is the pillow?", "--backend", "live"]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr(), f"error: bad configuration: {message}")
+
+    def test_config_value_overridden_by_a_flag_still_checked(self, couch_pillow_file, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"budget": "900", "strict_parse": True}), encoding="utf-8")
+        assert main(["--config", str(config), "--budget", "800", "validate", couch_pillow_file]) == 2
+        assert_one_error_line(capsys.readouterr(), "error: bad configuration: budget must be an integer, got '900'")
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_config_budget_that_is_not_positive_rejected(self, couch_pillow_file, tmp_path, capsys, budget):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"budget": budget}), encoding="utf-8")
+        assert main(["--config", str(config), "validate", couch_pillow_file]) == 2
+        assert_one_error_line(capsys.readouterr(), "error: bad configuration: token budget must be positive")
+
     def test_env_api_url_beats_config_file(self, tmp_path, monkeypatch):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"llm": {"base_url": "http://file.test/v1"}}), encoding="utf-8")

@@ -87,6 +87,23 @@ def test_load_lexicon_returns_a_fresh_copy():
     assert load_lexicon() == before
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"budget": 0}, "token budget must be positive"),
+        ({"budget": -1}, "token budget must be positive"),
+        ({"budget": 900.0}, "budget must be an integer, got 900.0"),
+        ({"budget": True}, "budget must be an integer, got True"),
+        ({"strict_parse": 1}, "strict_parse must be true or false, got 1"),
+        ({"strict_parse": None}, "strict_parse must be true or false, got None"),
+    ],
+)
+def test_eval_config_rejects_bad_fields(fields, message):
+    with pytest.raises(ValueError) as exc:
+        EvalConfig(**fields)
+    assert str(exc.value) == message
+
+
 class TestGenerateQueries:
     def test_planted_stack_query(self):
         gen = generate_scene(SceneRecipe(seed=5, layout=Layout.STACKS, node_count=6))

@@ -323,9 +323,46 @@ SNAPPED_ONTO_THRESHOLD = (
 )
 
 
+# Tiny boxes with centres exactly one threshold apart on x: only the
+# half threshold in each sweep interval makes them overlap. Their y
+# intervals straddle the band edge at 0.
+NEAR_ONLY_ACROSS_A_BAND_EDGE = (
+    SceneGraph(nodes=(box(0, (0.01, 0.01, 0.01), (0, 0, 0)), box(1, (0.01, 0.01, 0.01), (1.0, 0, 0)))),
+    OracleConfig(near_threshold=1.0),
+)
+# A threshold of 1e301 puts |x| + threshold / 2 past 2**1000 (~1.07e301),
+# so every pair is a candidate. Boxes 0 and 2 are not near; the other
+# pairs are.
+FAR_RANGE = (
+    SceneGraph(
+        nodes=(
+            box(0, (1, 1, 1), (6e300, 0, 0)),
+            box(1, (1, 1, 1), (-3e300, 0, 0)),
+            box(2, (1, 1, 1), (-6e300, 0, 0)),
+        )
+    ),
+    OracleConfig(near_threshold=1e301),
+)
+# The same threshold just inside the range the sweep splits into bands:
+# |y| + threshold / 2 stays under 1.06e301. Boxes 0 and 2 are not near.
+LARGE_THRESHOLD = (
+    SceneGraph(
+        nodes=(
+            box(0, (1, 1, 1), (0, -5e300, 0)),
+            box(1, (1, 1, 1), (0, 0, 0)),
+            box(2, (1, 1, 1), (0, 5.5e300, 0)),
+        )
+    ),
+    OracleConfig(near_threshold=1e301),
+)
+
+
 @settings(deadline=None)
 @given(boundary_scenes())
 @example(SNAPPED_ONTO_THRESHOLD)
+@example(NEAR_ONLY_ACROSS_A_BAND_EDGE)
+@example(FAR_RANGE)
+@example(LARGE_THRESHOLD)
 def test_derive_edges_matches_brute_force_on_boundaries(scene_cfg):
     scene, cfg = scene_cfg
     assert derive_edges(scene, cfg) == brute_force_edges(scene, cfg)
@@ -382,15 +419,16 @@ def test_three_rows_of_rooms_match_brute_force():
 
 def test_one_wide_footprint_matches_brute_force():
     # A floor slab under all six rooms, far wider than any other box,
-    # spans every y band; each floor item rests on it.
+    # spans every y band; each floor item rests on it. At a threshold of
+    # 0.05 no box's sweep interval is wider than its footprint.
     rooms = multi_room_scene(rooms=6)
     slab = box(10_000, (12.0, 17.0, 0.2), (4.5, 7.0, -0.1), "floor")
     scene = SceneGraph(nodes=(slab,) + rooms.nodes)
-    cfg = OracleConfig()
-    edges = derive_edges(scene, cfg)
-    on_slab = [s for s, rel, o in edges if rel is SpatialRelation.ON_TOP_OF and o == slab.id]
-    assert len(on_slab) > 60
-    assert edges == brute_force_edges(scene, cfg)
+    for cfg in (OracleConfig(), OracleConfig(near_threshold=0.05)):
+        edges = derive_edges(scene, cfg)
+        on_slab = [s for s, rel, o in edges if rel is SpatialRelation.ON_TOP_OF and o == slab.id]
+        assert len(on_slab) > 60
+        assert edges == brute_force_edges(scene, cfg)
 
 
 def test_footprints_touching_across_a_band_boundary():
