@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -41,37 +41,25 @@ EXIT_PARSE = 3
 DEFAULT_CONFIG_PATH = "scenequery.json"
 
 
-@dataclass
-class CliConfig:
-    eval: EvalConfig = field(default_factory=EvalConfig)
-    output_format: str = "text"
-
-
-def load_config(path: Optional[str], args: argparse.Namespace) -> CliConfig:
-    """Merge config file, environment and flags (flag > env > file > default)."""
-    fields: dict = {}
+def load_config(path: Optional[str], args: argparse.Namespace) -> EvalConfig:
+    """Merge config file, environment and flags (flag > env > file > default);
+    a file key that no config class has raises TypeError."""
+    raw: dict = {}
     config_path = path or (DEFAULT_CONFIG_PATH if os.path.exists(DEFAULT_CONFIG_PATH) else None)
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"{config_path} must hold a JSON object")
-        if "oracle" in raw:
-            fields["oracle"] = OracleConfig(**raw["oracle"])
-        if "llm" in raw:
-            fields["llm"] = llm_mod.LlmConfig(**raw["llm"])
-        for key in ("budget", "strict_parse"):
-            if key in raw:
-                fields[key] = raw[key]
-
+    sections = {"oracle": OracleConfig, "llm": llm_mod.LlmConfig}
     # Built before the flags apply, so a bad file value is reported even
     # where a flag overrides it.
-    cfg = EvalConfig(**fields)
-    if getattr(args, "budget", None) is not None:
+    cfg = EvalConfig(**{k: sections[k](**v) if k in sections else v for k, v in raw.items()})
+    if args.budget is not None:
         cfg = replace(cfg, budget=args.budget)
-    if getattr(args, "strict", False):
+    if args.strict:
         cfg = replace(cfg, strict_parse=True)
-    return CliConfig(eval=cfg, output_format=getattr(args, "format", None) or "text")
+    return cfg
 
 
 def _read_scene(path: str) -> SceneGraph:
@@ -146,11 +134,11 @@ def _emit(payload: dict, text: str, fmt: str) -> None:
         _print_text(text)
 
 
-def cmd_validate(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_validate(args: argparse.Namespace, cfg: EvalConfig) -> int:
     try:
         text = Path(args.scene).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        if cfg.output_format == "json":
+        if args.format == "json":
             print(json.dumps({"error": str(exc)}))
         else:
             print(f"error: cannot read {args.scene}: {exc}", file=sys.stderr)
@@ -158,15 +146,15 @@ def cmd_validate(args: argparse.Namespace, cfg: CliConfig) -> int:
     count, issues = scene_issues(text)
     payload = {"nodes": count, "issues": [str(i) for i in issues]}
     lines = [f"{count} nodes, {len(issues)} issues"] + [f"  {i}" for i in issues]
-    _emit(payload, "\n".join(lines), cfg.output_format)
+    _emit(payload, "\n".join(lines), args.format)
     return EXIT_OK if not issues else EXIT_INVALID
 
 
-def cmd_describe(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_describe(args: argparse.Namespace, cfg: EvalConfig) -> int:
     scene = _read_scene(args.scene)
-    edges = derive_edges(scene, cfg.eval.oracle) if args.relations else None
+    edges = derive_edges(scene, cfg.oracle) if args.relations else None
     # Only the output that is printed is built.
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(_describe_json(scene, edges))
         return EXIT_OK
     lines = [
@@ -183,10 +171,10 @@ def cmd_describe(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _make_backend(kind: str, scene: Optional[SceneGraph], cfg: CliConfig, mock_script_path: Optional[str]):
+def _make_backend(kind: str, scene: Optional[SceneGraph], cfg: EvalConfig, mock_script_path: Optional[str]):
     """The backend for `kind`; only "oracle" reads `scene`."""
     if kind == "oracle":
-        return llm_mod.OracleMockBackend(scene, cfg.eval.oracle)
+        return llm_mod.OracleMockBackend(scene, cfg.oracle)
     if kind == "mock":
         if not mock_script_path:
             print("error: --backend mock requires --mock-script", file=sys.stderr)
@@ -197,7 +185,7 @@ def _make_backend(kind: str, scene: Optional[SceneGraph], cfg: CliConfig, mock_s
         except (OSError, ValueError, TypeError) as exc:
             print(f"error: bad mock script {mock_script_path}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_IO)
-    return llm_mod.HttpBackend(cfg.eval.llm)
+    return llm_mod.HttpBackend(cfg.llm)
 
 
 def _pipeline_failure(exc: Exception) -> int:
@@ -206,10 +194,10 @@ def _pipeline_failure(exc: Exception) -> int:
     return EXIT_IO if isinstance(exc, llm_mod.LlmError) else EXIT_INVALID
 
 
-def _run_ask(scene: SceneGraph, query: str, backend, cfg: CliConfig) -> int:
+def _run_ask(scene: SceneGraph, query: str, backend, cfg: EvalConfig, fmt: str) -> int:
     """Answer one query, print the result and return its exit code."""
     try:
-        result = answer(scene, query, backend, cfg.eval)
+        result = answer(scene, query, backend, cfg)
     except (llm_mod.LlmError, BudgetInfeasible) as exc:
         return _pipeline_failure(exc)
     parsed, issues = result.parsed, result.issues
@@ -238,17 +226,17 @@ def _run_ask(scene: SceneGraph, query: str, backend, cfg: CliConfig) -> int:
     if issues:
         lines.append("grounding issues:")
         lines.extend(f"  {issue}" for issue in issues)
-    _emit(payload, "\n".join(lines), cfg.output_format)
+    _emit(payload, "\n".join(lines), fmt)
     return EXIT_OK if not issues else EXIT_INVALID
 
 
-def cmd_ask(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_ask(args: argparse.Namespace, cfg: EvalConfig) -> int:
     scene = _read_scene(args.scene)
     backend = _make_backend(args.backend, scene, cfg, args.mock_script)
-    return _run_ask(scene, args.query, backend, cfg)
+    return _run_ask(scene, args.query, backend, cfg, args.format)
 
 
-def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_repl(args: argparse.Namespace, cfg: EvalConfig) -> int:
     scene = _read_scene(args.scene)
     backend_kind = args.backend
     # One backend per kind for the whole session: a list script is consumed
@@ -267,19 +255,19 @@ def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
             continue
         if backend_kind not in backends:
             backends[backend_kind] = _make_backend(backend_kind, scene, cfg, args.mock_script)
-        _run_ask(scene, query, backends[backend_kind], cfg)
+        _run_ask(scene, query, backends[backend_kind], cfg, args.format)
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_eval(args: argparse.Namespace, cfg: EvalConfig) -> int:
     tasks = []
     for seed in range(args.seed, args.seed + args.scenes):
         gen = generate_scene(SceneRecipe(seed=seed, node_count=args.nodes, layout=Layout(args.layout)))
-        tasks.append((gen, generate_queries(gen, cfg.eval.oracle)))
+        tasks.append((gen, generate_queries(gen, cfg.oracle)))
 
     backend = "oracle" if args.backend == "oracle" else _make_backend(args.backend, None, cfg, args.mock_script)
     try:
-        report = run_eval(tasks, backend=backend, cfg=cfg.eval)
+        report = run_eval(tasks, backend=backend, cfg=cfg)
     except (llm_mod.LlmError, BudgetInfeasible) as exc:
         return _pipeline_failure(exc)
 
@@ -293,38 +281,38 @@ def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
         except OSError as exc:
             print(f"error: cannot write reports to {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(report.to_json())
     else:
         _print_text(report.to_text())
     return EXIT_OK
 
 
-def cmd_compact(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_compact(args: argparse.Namespace, cfg: EvalConfig) -> int:
     scene = _read_scene(args.scene)
     query = args.query or ""
     before = estimate_tokens(serialize_scene(scene))
     try:
-        bundle = build_prompt(scene, query, budget=cfg.eval.budget)
+        bundle = build_prompt(scene, query, budget=cfg.budget)
     except BudgetInfeasible as exc:
         return _pipeline_failure(exc)
     payload = {
         "scene_estimate_before": before,
         "prompt_estimate_after": bundle.token_estimate,
-        "budget": cfg.eval.budget,
+        "budget": cfg.budget,
         "included_nodes": len(bundle.included_node_ids),
         "actions": list(bundle.compaction_report),
     }
     lines = [
         f"scene estimate before : {before} tokens",
-        f"prompt estimate after : {bundle.token_estimate} tokens (budget {cfg.eval.budget})",
+        f"prompt estimate after : {bundle.token_estimate} tokens (budget {cfg.budget})",
         f"included nodes        : {len(bundle.included_node_ids)} of {len(scene.nodes)}",
         "actions:",
     ]
     lines.extend(f"  {a}" for a in bundle.compaction_report)
     if not bundle.compaction_report:
         lines.append("  (none)")
-    _emit(payload, "\n".join(lines), cfg.output_format)
+    _emit(payload, "\n".join(lines), args.format)
     return EXIT_OK
 
 
@@ -346,7 +334,7 @@ def _whole_number(minimum: int):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scenequery", description="3D scene-graph question answering")
     parser.add_argument("--config", help=f"JSON config file (default: ./{DEFAULT_CONFIG_PATH} if present)")
-    parser.add_argument("--format", choices=["text", "json"], help="output format")
+    parser.add_argument("--format", choices=["text", "json"], default="text", help="output format")
     parser.add_argument("--budget", type=int, help="prompt token budget")
     parser.add_argument("--strict", action="store_true", help="strict response parsing")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -47,7 +47,6 @@ class SceneRecipe:
     seed: int
     node_count: int = 10
     layout: Layout = Layout.MIXED
-    tag_vocabulary: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -94,7 +93,8 @@ def _packaged_lexicon_entries() -> list[dict]:
 
 
 def _grid(rng: random.Random, lo_dm: int, hi_dm: int) -> float:
-    # Decimeter grid keeps every coordinate exact at 1-decimal precision.
+    # Whole decimetres are exact at serialization's one decimal. Half of
+    # one need not be, so a centre z at half an extent is rounded to it.
     return rng.randint(lo_dm, hi_dm) / 10.0
 
 
@@ -102,17 +102,17 @@ def _caption(tag: str) -> str:
     return f"The central object in this image is a {tag}."
 
 
-def generate_scene(recipe: SceneRecipe, lexicon: Optional[dict[str, dict]] = None) -> GeneratedScene:
+def generate_scene(recipe: SceneRecipe) -> GeneratedScene:
     """Deterministic-in-seed scene with recorded planted relations.
 
     Stacks plant on-top-of pairs (upper footprint inside the base, faces
     touching); Containers plant strict sorted-extent dominance pairs;
     Clusters plant near groups. Mixed cycles through all three. Slots
-    are spaced 6 m apart so unrelated objects never interact.
+    are spaced 6 m apart so unrelated objects never interact. Tags come
+    from the packaged lexicon. Every box number is on the decimetre
+    grid, so the scene survives serialization unchanged.
     """
-    if lexicon is None:
-        lexicon = load_lexicon()
-    vocab = list(recipe.tag_vocabulary) or sorted(lexicon)
+    vocab = sorted(load_lexicon())
     rng = random.Random(recipe.seed)
 
     nodes: list[ObjectNode] = []
@@ -159,9 +159,9 @@ def generate_scene(recipe: SceneRecipe, lexicon: Optional[dict[str, dict]] = Non
         x, y = slot_origin()
         outer = Vec3(_grid(rng, 10, 20), _grid(rng, 10, 20), _grid(rng, 10, 20))
         inner = Vec3(*(round(c - 0.3, 1) for c in outer))
-        outer_node = add(rng.choice(vocab), outer, Vec3(x, y, outer.z / 2))
+        outer_node = add(rng.choice(vocab), outer, Vec3(x, y, round(outer.z / 2, 1)))
         x2, y2 = slot_origin()
-        inner_node = add(rng.choice(vocab), inner, Vec3(x2, y2, inner.z / 2))
+        inner_node = add(rng.choice(vocab), inner, Vec3(x2, y2, round(inner.z / 2, 1)))
         planted.append(PlantedFact(QueryCategory.CONTAINMENT, outer_node.id, inner_node.id))
 
     def plant_cluster():
@@ -170,7 +170,7 @@ def generate_scene(recipe: SceneRecipe, lexicon: Optional[dict[str, dict]] = Non
         for _ in range(2):
             ext = Vec3(_grid(rng, 2, 6), _grid(rng, 2, 6), _grid(rng, 2, 6))
             dx, dy = _grid(rng, -3, 3), _grid(rng, -3, 3)
-            members.append(add(rng.choice(vocab), ext, Vec3(round(x + dx, 1), round(y + dy, 1), ext.z / 2)))
+            members.append(add(rng.choice(vocab), ext, Vec3(round(x + dx, 1), round(y + dy, 1), round(ext.z / 2, 1))))
         a, b = members
         planted.append(PlantedFact(QueryCategory.RELATIVE_POSITION, a.id, b.id))
 
@@ -189,7 +189,7 @@ def generate_scene(recipe: SceneRecipe, lexicon: Optional[dict[str, dict]] = Non
         # Leftover singletons, far from everything.
         x, y = slot_origin()
         ext = Vec3(_grid(rng, 2, 8), _grid(rng, 2, 8), _grid(rng, 2, 8))
-        add(rng.choice(vocab), ext, Vec3(x, y, ext.z / 2))
+        add(rng.choice(vocab), ext, Vec3(x, y, round(ext.z / 2, 1)))
 
     return GeneratedScene(scene=SceneGraph(nodes=tuple(nodes)), planted=tuple(planted), recipe=recipe)
 
@@ -202,15 +202,10 @@ _YES_NO_TEMPLATES = {
 }
 
 
-def generate_queries(
-    gen: GeneratedScene,
-    cfg: OracleConfig = OracleConfig(),
-    lexicon: Optional[dict[str, dict]] = None,
-) -> list[GroundTruthQuery]:
+def generate_queries(gen: GeneratedScene, cfg: OracleConfig = OracleConfig()) -> list[GroundTruthQuery]:
     """Templated queries across the taxonomy, answered from planted
-    facts (geometric/spatial) or the lexicon (affordance/negation)."""
-    if lexicon is None:
-        lexicon = load_lexicon()
+    facts (geometric/spatial) or the packaged lexicon (affordance/negation)."""
+    lexicon = load_lexicon()
     scene = gen.scene
     queries: list[GroundTruthQuery] = []
 

@@ -56,6 +56,9 @@ class LlmConfig:
     max_retries: int = 2
 
     def __post_init__(self):
+        for name in ("base_url", "model_name"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         require_finite(self, ("temperature", "max_output_tokens", "timeout", "max_retries"))
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
@@ -181,17 +184,17 @@ def _retry_after_seconds(value: Optional[str]) -> float:
 
 class MockBackend:
     """Deterministic canned responses: a consumed-in-order list, or a
-    substring -> response rule table matched against the user text.
-    Called from one thread at a time, so a list is consumed in call order."""
+    substring -> response rule table tried in order against the user text,
+    where a "" rule matches any query. Called from one thread at a time,
+    so a list is consumed in call order."""
 
     max_in_flight = 1
 
-    def __init__(self, script: list[str] | dict[str, str], fallback: Optional[str] = None):
+    def __init__(self, script: list[str] | dict[str, str]):
         if not isinstance(script, (list, dict)):
             raise TypeError(f"expected a list or an object, got {type(script).__name__}")
         self._queue = list(script) if isinstance(script, list) else None
         self._rules = dict(script) if isinstance(script, dict) else {}
-        self._fallback = fallback
 
     def complete(self, system_text: str, user_text: str) -> str:
         if self._queue is not None:
@@ -201,8 +204,6 @@ class MockBackend:
             for needle, response in self._rules.items():
                 if needle in user_text:
                     return response
-        if self._fallback is not None:
-            return self._fallback
         raise LlmError("mock script exhausted / no rule matched")
 
 

@@ -27,13 +27,7 @@ from .scene_model import ObjectNode, SceneGraph, Vec3
 
 class SpatialRelation(str, Enum):
     ON_TOP_OF = "OnTopOf"
-    ABOVE = "Above"
-    BELOW = "Below"
     NEAR = "Near"
-    POSITIVE_X = "PositiveX"
-    NEGATIVE_X = "NegativeX"
-    POSITIVE_Y = "PositiveY"
-    NEGATIVE_Y = "NegativeY"
 
 
 class SizeOrdering(str, Enum):
@@ -97,7 +91,7 @@ class SizeComparison:
 @dataclass(frozen=True)
 class RelativePosition:
     delta: Vec3  # center(a) - center(b)
-    relations: tuple[SpatialRelation, ...]
+    directions: tuple[str, ...]  # one phrase per axis on which a and b differ
     near: bool
     distance: float
 
@@ -175,27 +169,24 @@ def _rests_on(a: Box, b: Box, tolerance: float) -> bool:
     return _snap(abs(a[4] - b[5])) <= tolerance
 
 
+# Per axis (x, y, z): the phrase for a positive and for a negative delta.
+_AXIS_PHRASES = (
+    ("in the positive x direction from", "in the negative x direction from"),
+    ("in the positive y direction from", "in the negative y direction from"),
+    ("above", "below"),
+)
+
+
 def relative_position(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig()) -> RelativePosition:
-    """Per-axis center deltas plus qualitative descriptors for a vs b."""
+    """Center deltas, plus a's direction from b on each axis they differ on."""
     delta = a.bbox_center - b.bbox_center
-    dx, dy, dz = (_snap(c) for c in delta)
-    relations: list[SpatialRelation] = []
-    if dx > 0:
-        relations.append(SpatialRelation.POSITIVE_X)
-    elif dx < 0:
-        relations.append(SpatialRelation.NEGATIVE_X)
-    if dy > 0:
-        relations.append(SpatialRelation.POSITIVE_Y)
-    elif dy < 0:
-        relations.append(SpatialRelation.NEGATIVE_Y)
-    if dz > 0:
-        relations.append(SpatialRelation.ABOVE)
-    elif dz < 0:
-        relations.append(SpatialRelation.BELOW)
+    directions = tuple(
+        positive if d > 0 else negative for d, (positive, negative) in zip(map(_snap, delta), _AXIS_PHRASES) if d
+    )
     distance = _distance(a.bbox_center, b.bbox_center)
     return RelativePosition(
         delta=delta,
-        relations=tuple(relations),
+        directions=directions,
         near=distance <= cfg.near_threshold,
         distance=distance,
     )
@@ -391,21 +382,8 @@ def answer_query_deterministic(
     return OracleAnswer(True, sentence, explanation, final.id, final.object_tag)
 
 
-_RELATION_WORDS = {
-    SpatialRelation.ABOVE: "above",
-    SpatialRelation.BELOW: "below",
-    SpatialRelation.POSITIVE_X: "in the positive x direction from",
-    SpatialRelation.NEGATIVE_X: "in the negative x direction from",
-    SpatialRelation.POSITIVE_Y: "in the positive y direction from",
-    SpatialRelation.NEGATIVE_Y: "in the negative y direction from",
-}
-
-
 def describe_relations(rel: RelativePosition) -> str:
-    words = [_RELATION_WORDS[r] for r in rel.relations if r in _RELATION_WORDS]
-    if not words:
-        words = ["at the same position as"]
-    phrase = " and ".join(words)
+    phrase = " and ".join(rel.directions) or "at the same position as"
     if rel.near:
         phrase += " and near"
     return phrase

@@ -8,7 +8,6 @@ derived by the oracle, never stored in the file format.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -79,7 +78,11 @@ class SceneGraph:
                     raise SceneError(f"duplicate node id {n.id}")
                 seen.add(n.id)
         object.__setattr__(self, "_by_id", by_id)
-        # omit set -> each node's JSON object; filled by `encoded_nodes`.
+        # The serialization cache, filled by `encoded_nodes`: None -> each
+        # node's encoded fields, each omit set -> each node's JSON object.
+        # No dataclass field, so equality, hash and repr leave it out. An
+        # entry is a pure function of the immutable nodes and its key, so
+        # threads that race to fill one store equal values.
         object.__setattr__(self, "_json_by_omit", {})
 
     def node(self, node_id: int) -> ObjectNode:
@@ -90,16 +93,6 @@ class SceneGraph:
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._by_id
-
-    # The serialization cache (`_encoded_fields`, `_json_by_omit`) fills on
-    # the first serialization and is no dataclass field, so equality, hash
-    # and repr leave it out. Each entry is a pure function of the immutable
-    # nodes (and of its omit set), assigned once: threads that race to fill
-    # one compute equal values, and either assignment is correct. (Python
-    # 3.11's cached_property locks; 3.12+ may compute it twice.)
-    @functools.cached_property
-    def _encoded_fields(self) -> tuple[_NodeFields, ...]:
-        return tuple(_encode_fields(n) for n in self.nodes)
 
 
 def _parse_vec3(value: Any, index: int, field_name: str) -> Vec3:
@@ -261,9 +254,13 @@ def encoded_nodes(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> tuple
     order: the items of serialize_scene's array. Each node is encoded once
     per scene, and each omit set is joined once per scene."""
     omit = frozenset(omit)
-    out = scene._json_by_omit.get(omit)
+    cache = scene._json_by_omit
+    out = cache.get(omit)
     if out is None:
-        out = scene._json_by_omit[omit] = tuple(_node_json(f, omit) for f in scene._encoded_fields)
+        fields = cache.get(None)
+        if fields is None:
+            fields = cache[None] = tuple(_encode_fields(n) for n in scene.nodes)
+        out = cache[omit] = tuple(_node_json(f, omit) for f in fields)
     return out
 
 

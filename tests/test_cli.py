@@ -639,6 +639,33 @@ class TestConfig:
         assert main(argv) == 2
         assert_one_error_line(capsys.readouterr(), f"error: bad configuration: {message}")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("base_url", 5), ("base_url", ["http://127.0.0.1:9/v1"]), ("model_name", None), ("model_name", 4)],
+    )
+    def test_config_llm_text_that_is_not_a_string_rejected(
+        self, couch_pillow_file, tmp_path, capsys, monkeypatch, key, value
+    ):
+        # Rejected before any request; were it not, one would go to an
+        # unreachable local URL.
+        monkeypatch.setenv("SCENEGPT_API_KEY", "dummy")
+        monkeypatch.delenv("SCENEGPT_API_URL", raising=False)
+        config = tmp_path / "cfg.json"
+        llm_section = {"base_url": "http://127.0.0.1:9/v1", "max_retries": 0, key: value}
+        config.write_text(json.dumps({"llm": llm_section}), encoding="utf-8")
+        argv = ["--config", str(config), "ask", couch_pillow_file, "where is the pillow?", "--backend", "live"]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr(), f"error: bad configuration: {key} must be a string, got {value!r}")
+
+    def test_config_unknown_top_level_key_rejected(self, couch_pillow_file, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"budget": 900, "budjet": 900}), encoding="utf-8")
+        assert main(["--config", str(config), "validate", couch_pillow_file]) == 2
+        captured = capsys.readouterr()
+        # Only the key name: TypeError's wording varies across Python versions.
+        assert_one_error_line(captured, "error: bad configuration: ")
+        assert "'budjet'" in captured.err
+
     def test_config_value_overridden_by_a_flag_still_checked(self, couch_pillow_file, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"budget": "900", "strict_parse": True}), encoding="utf-8")
@@ -657,15 +684,15 @@ class TestConfig:
         config.write_text(json.dumps({"llm": {"base_url": "http://file.test/v1"}}), encoding="utf-8")
         args = build_parser().parse_args(["validate", "scene.json"])
         monkeypatch.delenv("SCENEGPT_API_URL", raising=False)
-        assert cli.load_config(str(config), args).eval.llm.resolved_base_url() == "http://file.test/v1"
+        assert cli.load_config(str(config), args).llm.resolved_base_url() == "http://file.test/v1"
         monkeypatch.setenv("SCENEGPT_API_URL", "http://env.test/v1")
-        assert cli.load_config(str(config), args).eval.llm.resolved_base_url() == "http://env.test/v1"
+        assert cli.load_config(str(config), args).llm.resolved_base_url() == "http://env.test/v1"
 
     def test_config_budget_and_strict_parse_read(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"budget": 900, "strict_parse": True}), encoding="utf-8")
         cfg = cli.load_config(str(config), build_parser().parse_args(["validate", "scene.json"]))
-        assert (cfg.eval.budget, cfg.eval.strict_parse) == (900, True)
+        assert (cfg.budget, cfg.strict_parse) == (900, True)
 
 
 def test_consecutive_calls_share_no_state(couch_pillow_file, tmp_path, monkeypatch, capsys):

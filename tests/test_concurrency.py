@@ -210,7 +210,7 @@ class TestWidth:
 
             monkeypatch.setattr(cls, "complete", spy)
         tasks = tasks_for(range(3))
-        run_eval(tasks, backend=MockBackend([], fallback="a reply with no steps"))
+        run_eval(tasks, backend=MockBackend({"": "a reply with no steps"}))
         run_eval(tasks, backend=OracleMockBackend(tasks[0][0].scene))
         run_eval(tasks, backend="oracle")
         assert len(threads) == 3 * len(query_texts(tasks))

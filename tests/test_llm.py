@@ -181,8 +181,11 @@ class TestMockBackend:
         assert backend.complete("s", "where is the couch?") == "it is a couch"
 
     def test_fallback(self):
-        backend = MockBackend({}, fallback="dunno")
+        # A "" rule is a fallback: it matches any query no earlier rule took.
+        backend = MockBackend({"vase": "it is a vase", "": "dunno"})
         assert backend.complete("s", "anything") == "dunno"
+        assert backend.complete("s", "") == "dunno"
+        assert backend.complete("s", "where is the vase?") == "it is a vase"
 
     def test_deterministic(self):
         a = MockBackend({"q": "r"}).complete("s", "my q")

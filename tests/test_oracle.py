@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from scenequery.oracle import (
     answer_query_deterministic,
     can_contain,
     derive_edges,
+    describe_relations,
     interpret_query,
     near,
     on_top_of,
@@ -30,21 +32,47 @@ class TestRelativePosition:
     def test_pillow_vs_couch(self, pillow, couch):
         rel = relative_position(pillow, couch)
         assert rel.delta == pytest.approx((0.1, 0.2, 0.4))
-        assert SpatialRelation.ABOVE in rel.relations
+        assert "above" in rel.directions
         assert rel.near
 
     def test_self(self, couch):
         rel = relative_position(couch, couch)
         assert rel.delta == Vec3(0, 0, 0)
-        assert rel.relations == ()
+        assert rel.directions == ()
 
     def test_far_above(self):
         a = box(1, (1, 1, 1), (0, 0, 5))
         b = box(2, (1, 1, 1), (0, 0, 0))
         rel = relative_position(a, b)
-        assert SpatialRelation.ABOVE in rel.relations
+        assert "above" in rel.directions
         assert not rel.near
         assert rel.distance == pytest.approx(5.0)
+
+
+# Each axis's phrase for a positive and a negative snapped delta, in the
+# order describe_relations joins them.
+AXIS_PHRASES = (
+    ("in the positive x direction from", "in the negative x direction from"),
+    ("in the positive y direction from", "in the negative y direction from"),
+    ("above", "below"),
+)
+
+
+@pytest.mark.parametrize("step", [0.3, 2.0], ids=["near", "far"])
+@pytest.mark.parametrize(
+    "signs",
+    list(itertools.product((1, 0, -1), repeat=3)),
+    ids=lambda signs: "".join("+0-"[1 - s] for s in signs),
+)
+def test_every_direction_phrase(signs, step):
+    b = box(2, (1, 1, 1), (1.5, -2.5, 0.7))
+    a = box(1, (1, 1, 1), tuple(c + s * step for c, s in zip(b.bbox_center, signs)))
+    words = [pos if s > 0 else neg for s, (pos, neg) in zip(signs, AXIS_PHRASES) if s]
+    phrase = " and ".join(words) if words else "at the same position as"
+    # Centres 0.3 apart per axis are at most 0.52 apart, and 2.0 apart per
+    # axis at least 2.0; equal centres are near at either step.
+    near = step < 1 or not words
+    assert describe_relations(relative_position(a, b)) == phrase + (" and near" if near else "")
 
 
 class TestOnTopOf:
