@@ -391,7 +391,8 @@ class Answer:
 
 
 def answer(scene: SceneGraph, query: str, backend: llm_mod.Backend, cfg: EvalConfig) -> Answer:
-    """Build the prompt, complete it, parse the reply and check its grounding.
+    """Build the prompt, complete it, parse the reply and check its grounding
+    against the nodes the prompt kept.
 
     An unparseable reply is returned as data. Backend errors (LlmError)
     and BudgetInfeasible propagate.
@@ -402,7 +403,7 @@ def answer(scene: SceneGraph, query: str, backend: llm_mod.Backend, cfg: EvalCon
         parsed = parse_response(reply, strict=cfg.strict_parse)
     except UnparseableResponse as exc:
         return Answer(raw=exc.raw, parsed=None, error=str(exc))
-    return Answer(raw=reply, parsed=parsed, issues=tuple(validate_grounding(parsed, scene)))
+    return Answer(raw=reply, parsed=parsed, issues=tuple(validate_grounding(parsed, scene, bundle.included_node_ids)))
 
 
 _WORD = re.compile(r"[a-z]+")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .scene_model import ObjectNode, SceneGraph, Vec3
+from .scene_model import MAX_COORDINATE, ObjectNode, SceneGraph, Vec3
 
 
 class SpatialRelation(str, Enum):
@@ -80,6 +80,9 @@ class OracleConfig:
         for name in names:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        # Bounded like scene numbers, so derive_edges' sweep bounds stay finite.
+        if self.near_threshold > MAX_COORDINATE:
+            raise ValueError(f"near_threshold must be at most {MAX_COORDINATE:g}")
 
 
 @dataclass(frozen=True)
@@ -126,14 +129,9 @@ def _snap(value: float) -> float:
 
 def _distance(a: Vec3, b: Vec3) -> float:
     """Snapped distance between two centres. Exactly symmetric: negation
-    is exact and the squares are summed in the same order either way.
-    A difference over about 1.3e154 has no finite square; math.hypot then
-    gives the distance, which is far past any near threshold."""
+    is exact and the squares are summed in the same order either way."""
     dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
-    try:
-        return _snap(math.sqrt(dx**2 + dy**2 + dz**2))
-    except OverflowError:
-        return _snap(math.hypot(dx, dy, dz))
+    return _snap(math.sqrt(dx**2 + dy**2 + dz**2))
 
 
 # A flat box: (min x, max x, min y, max y, min z, max z, centre z).
@@ -263,26 +261,18 @@ def derive_edges(scene: SceneGraph, cfg: OracleConfig = OracleConfig()) -> list[
         for n in scene.nodes
     ]
     reach = max(max(abs(cx) + rx, abs(cy) + ry) for cx, cy, rx, ry in halves)
-    if reach < 2.0**1000:
-        # The tests accept a difference up to half a snapping step (5e-10)
-        # past a face or past the threshold, and rounding in an interval
-        # bound or in a tested difference errs by far less than
-        # reach * 2**-40. Widened by `margin` on each side, the intervals
-        # of a pair either test could pass overlap, so plain comparisons
-        # decide the candidates.
-        margin = 1e-9 + reach * 2**-40
-        intervals = [(cx - rx - margin, cx + rx + margin, cy - ry - margin, cy + ry + margin)
-                     for cx, cy, rx, ry in halves]
-        # The mean y interval, at least 2 * margin wide: a box meets about
-        # three bands, and `y / width` stays finite.
-        width = sum(hi - lo for _, _, lo, hi in intervals) / len(intervals)
-        bands = [(math.floor(lo / width), math.floor(hi / width)) for _, _, lo, hi in intervals]
-    else:
-        # Bounds this close to the float limit may be infinite or overflow
-        # once widened, so every box gets the same point interval and
-        # band, and every pair is a candidate.
-        intervals = [(0.0, 0.0, 0.0, 0.0)] * len(halves)
-        bands = [(0, 0)] * len(halves)
+    # The tests accept a difference up to half a snapping step (5e-10)
+    # past a face or past the threshold, and rounding in an interval
+    # bound or in a tested difference errs by far less than
+    # reach * 2**-40. Widened by `margin` on each side, the intervals
+    # of a pair either test could pass overlap, so plain comparisons
+    # decide the candidates.
+    margin = 1e-9 + reach * 2**-40
+    intervals = [(cx - rx - margin, cx + rx + margin, cy - ry - margin, cy + ry + margin) for cx, cy, rx, ry in halves]
+    # The mean y interval, at least 2 * margin wide: a box meets about
+    # three bands.
+    width = sum(hi - lo for _, _, lo, hi in intervals) / len(intervals)
+    bands = [(math.floor(lo / width), math.floor(hi / width)) for _, _, lo, hi in intervals]
     spans = sorted(
         ((*interval, *band, _box(n), n.bbox_center, n.id) for n, interval, band in zip(scene.nodes, intervals, bands)),
         key=lambda span: span[0],

@@ -12,13 +12,14 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Collection, Optional
 
 from .scene_model import SceneGraph
 
 
 class IssueKind(str, Enum):
     UNKNOWN_ID = "UnknownId"
+    NOT_IN_PROMPT = "NotInPrompt"
     TOO_MANY_RELEVANT = "TooManyRelevant"
     TAG_MISMATCH = "TagMismatch"
     MISSING_STEP = "MissingStep"
@@ -178,8 +179,24 @@ def parse_response(text: str, strict: bool = False) -> ParsedResponse:
     )
 
 
-def validate_grounding(resp: ParsedResponse, scene: SceneGraph) -> list[GroundingIssue]:
-    """Check the response against the scene it claims to describe.
+def _id_issue(
+    obj_id: int, scene: SceneGraph, in_prompt: Optional[Collection[int]], what: str, step: int
+) -> Optional[GroundingIssue]:
+    """UnknownId for an id outside the scene, NotInPrompt for one the
+    prompt left out, else None."""
+    if not scene.has_node(obj_id):
+        return GroundingIssue(IssueKind.UNKNOWN_ID, f"{what} {obj_id} not in scene", step=step)
+    if in_prompt is not None and obj_id not in in_prompt:
+        return GroundingIssue(IssueKind.NOT_IN_PROMPT, f"{what} {obj_id} not in the prompt", step=step)
+    return None
+
+
+def validate_grounding(
+    resp: ParsedResponse, scene: SceneGraph, in_prompt: Optional[Collection[int]] = None
+) -> list[GroundingIssue]:
+    """Check the response against the scene it claims to describe and,
+    when `in_prompt` is given, against the ids of the nodes the prompt
+    showed the model.
 
     Issues are data, not exceptions; an empty list means the answer is
     fully grounded. Ordered by step number.
@@ -195,14 +212,14 @@ def validate_grounding(resp: ParsedResponse, scene: SceneGraph) -> list[Groundin
             )
         )
     for obj_id in resp.relevant_object_ids:
-        if not scene.has_node(obj_id):
-            issues.append(GroundingIssue(IssueKind.UNKNOWN_ID, f"id {obj_id} not in scene", step=2))
+        issue = _id_issue(obj_id, scene, in_prompt, "id", 2)
+        if issue:
+            issues.append(issue)
 
     if resp.final_object_id is not None:
-        if not scene.has_node(resp.final_object_id):
-            issues.append(
-                GroundingIssue(IssueKind.UNKNOWN_ID, f"final id {resp.final_object_id} not in scene", step=4)
-            )
+        issue = _id_issue(resp.final_object_id, scene, in_prompt, "final id", 4)
+        if issue:
+            issues.append(issue)
         elif resp.final_object_tag:
             actual = scene.node(resp.final_object_id).object_tag
             if resp.final_object_tag.lower() != actual.lower():

@@ -9,8 +9,8 @@ derived by the oracle, never stored in the file format.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, NamedTuple
 
@@ -18,6 +18,8 @@ from typing import Any, Iterable, NamedTuple
 NODE_KEYS = ("id", "bbox_extent", "bbox_center", "object_tag", "caption", "color", "material")
 REQUIRED_KEYS = ("id", "bbox_extent", "bbox_center", "object_tag")
 OPTIONAL_TEXT_KEYS = ("caption", "color", "material")
+# The largest magnitude of a box number, in metres.
+MAX_COORDINATE = 1e9
 
 
 class SceneError(ValueError):
@@ -49,6 +51,12 @@ class Vec3(NamedTuple):
 
 @dataclass(frozen=True)
 class ObjectNode:
+    """One object of a scene, as `parse_scene` accepts it: an int id >= 0,
+    box numbers that are floats within MAX_COORDINATE of 0 (extents >= 0),
+    and extras whose keys are distinct and name no node field. So no sum,
+    square or volume of box numbers overflows, and every node is written
+    the one way `encoded_nodes` writes it."""
+
     id: int
     bbox_extent: Vec3
     bbox_center: Vec3
@@ -98,18 +106,13 @@ class SceneGraph:
 def _parse_vec3(value: Any, index: int, field_name: str) -> Vec3:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise SceneError("expected a 3-element array", index, field_name)
-    comps = []
     for c in value:
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise SceneError(f"non-numeric component {c!r}", index, field_name)
-        try:
-            c = float(c)
-        except OverflowError:
-            raise SceneError("component out of float range", index, field_name) from None
-        if not math.isfinite(c):
-            raise SceneError(f"non-finite component {c!r}", index, field_name)
-        comps.append(c)
-    return Vec3(*comps)
+        # `not <=`: NaN compares false; an int is compared exactly.
+        if not abs(c) <= MAX_COORDINATE:
+            raise SceneError(f"component must be a number within {MAX_COORDINATE:g} m of 0", index, field_name)
+    return Vec3(*map(float, value))
 
 
 def _parse_node(obj: Any, index: int) -> ObjectNode:
@@ -204,18 +207,12 @@ def _round(value: float) -> float:
     return round(value, 1) + 0.0
 
 
-# A node's encoded items: '"key": value' for each of NODE_KEYS in order,
-# then (key, '"key": value') for each of its extras in order.
-_NodeFields = tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
-
-
-def _encode_fields(node: ObjectNode) -> _NodeFields:
-    """Each item encoded once, as json.dumps writes it inside the node's
-    object."""
-    # json writes an int that is not a bool as its repr.
-    node_id = str(node.id) if type(node.id) is int else json.dumps(node.id)
+def _encode_fields(node: ObjectNode) -> tuple[str, ...]:
+    """The node's items, each encoded once as json.dumps writes it inside
+    the node's object: '"key": value' for each of NODE_KEYS in order, then
+    for each of its extras in order."""
     core = (
-        '"id": ' + node_id,
+        '"id": ' + str(node.id),
         '"bbox_extent": ' + _encode_vec3(node.bbox_extent),
         '"bbox_center": ' + _encode_vec3(node.bbox_center),
         '"object_tag": ' + encode_basestring_ascii(node.object_tag),
@@ -224,29 +221,18 @@ def _encode_fields(node: ObjectNode) -> _NodeFields:
         '"material": ' + encode_basestring_ascii(node.material),
     )
     # json.dumps of a one-item dict is "{" + that item + "}".
-    extras = tuple((key, json.dumps({key: value})[1:-1]) for key, value in node.extra)
-    return core, extras
+    return core + tuple(json.dumps({key: value})[1:-1] for key, value in node.extra)
 
 
 def _encode_vec3(v: Vec3) -> str:
-    """json.dumps of the rounded components. json writes a finite float as
-    float.__repr__ does; only nan and infinities, the sole reprs with an
-    "n", are written otherwise, and those go through json.dumps."""
-    rounded = [_round(c) for c in v]
-    text = "[" + ", ".join(map(float.__repr__, rounded)) + "]"
-    return json.dumps(rounded) if "n" in text else text
+    """json.dumps of the rounded components: json writes a finite float as
+    float.__repr__ does."""
+    return "[" + ", ".join(map(float.__repr__, map(_round, v))) + "]"
 
 
-def _node_json(fields: _NodeFields, omit: frozenset[str]) -> str:
-    core, extras = fields
-    if not extras:
-        return "{" + ", ".join([item for key, item in zip(NODE_KEYS, core) if key not in omit]) + "}"
-    # Extras are never omitted. As dict entries, an extra replaces a kept
-    # key's item in place and is appended otherwise; a repeated extra key
-    # keeps its first place and its last value.
-    items = {key: item for key, item in zip(NODE_KEYS, core) if key not in omit}
-    items.update(extras)
-    return "{" + ", ".join(items.values()) + "}"
+def _node_json(fields: tuple[str, ...], omit: frozenset[str]) -> str:
+    # An extra pairs with key None, so it is never omitted.
+    return "{" + ", ".join([item for key, item in zip_longest(NODE_KEYS, fields) if key not in omit]) + "}"
 
 
 def encoded_nodes(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> tuple[str, ...]:

@@ -15,7 +15,7 @@ from scenequery.cli import build_parser, main
 from scenequery.evalharness import EvalConfig, answer
 from scenequery.llm import OracleMockBackend
 from scenequery.oracle import OracleConfig, derive_edges
-from scenequery.scene_model import NODE_KEYS, parse_scene
+from scenequery.scene_model import MAX_COORDINATE, NODE_KEYS, parse_scene
 from conftest import SAMPLE_SCENE_JSON
 from test_oracle import brute_force_edges, multi_room_scene
 
@@ -141,7 +141,7 @@ awkward_tag = st.text(
     min_size=1,
     max_size=8,
 )
-special_coordinate = st.sampled_from([-0.0, 5e-324, 1e16])
+special_coordinate = st.sampled_from([-0.0, 5e-324, MAX_COORDINATE])
 extent = st.lists(st.one_of(st.integers(0, 4), st.floats(0, 4), special_coordinate), min_size=3, max_size=3)
 centre = st.lists(st.one_of(st.integers(-6, 6), st.floats(-6, 6), special_coordinate), min_size=3, max_size=3)
 extra_keys = st.dictionaries(
@@ -176,7 +176,7 @@ def box_row(node_id, center, tag="box"):
 @given(describe_rows())
 @example([])
 @example([box_row(0, [0, 0, 0]), box_row(7, [50, 0, 0], 'far "x" \\ \x01 雪 \ud800')])
-@example([box_row(10**30, [0, 0, 0.5]), box_row(3, [0.2, 0, -0.5], "table"), box_row(4, [-0.0, 5e-324, 1e16])])
+@example([box_row(10**30, [0, 0, 0.5]), box_row(3, [0.2, 0, -0.5], "table"), box_row(4, [-0.0, 5e-324, 1e9])])
 def test_describe_json_bytes_are_json_dumps(rows):
     """`--format json describe` prints the bytes json.dumps writes for the
     rows and edge triples, with and without --relations."""
@@ -215,21 +215,58 @@ def far_apart_file(tmp_path, x_cup, x_vase):
 
 
 class TestFarApartCentres:
-    """Centre differences past about 1.3e154 have no finite square."""
+    """Centres at opposite ends of the bound are 2e9 m apart; past the
+    bound a scene is invalid."""
 
     def test_ask_relative_position(self, tmp_path, capsys):
-        path = far_apart_file(tmp_path, 0, 1e200)
+        path = far_apart_file(tmp_path, -MAX_COORDINATE, MAX_COORDINATE)
         assert main(["ask", path, "where is the cup with respect to the vase?"]) == 0
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
-        assert "distance 1e+200" in captured.out
+        assert "distance 2e+09" in captured.out
+        path = far_apart_file(tmp_path, 0, 1e200)
+        assert main(["ask", path, "where is the cup with respect to the vase?"]) == 1
+        assert_one_error_line(capsys.readouterr(), "error: invalid scene: node[1].bbox_center: ")
 
     def test_describe_relations_in_adjacent_cells(self, tmp_path, capsys):
-        path = far_apart_file(tmp_path, 1e200, 1.0000000000001e200)
+        path = far_apart_file(tmp_path, MAX_COORDINATE - 2, MAX_COORDINATE)
         assert main(["describe", path, "--relations"]) == 0
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert captured.out.endswith("relations:\n  (none)\n")
+        path = far_apart_file(tmp_path, 1e200, 1.0000000000001e200)
+        assert main(["describe", path, "--relations"]) == 1
+        assert_one_error_line(capsys.readouterr(), "error: invalid scene: node[0].bbox_center: ")
+
+
+def crate_box_file(tmp_path):
+    """Two boxes with extents of 1e200: their volumes would overflow."""
+    nodes = [
+        {"id": 1, "bbox_extent": [1e200, 1e200, 2e200], "bbox_center": [0, 0, 0], "object_tag": "crate"},
+        {"id": 2, "bbox_extent": [1e200, 1e200, 1e200], "bbox_center": [5, 0, 0], "object_tag": "box"},
+    ]
+    path = tmp_path / "crate_box.json"
+    path.write_text(json.dumps(nodes), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "Which is bigger, the crate (id: 1) or the box (id: 2)?",
+        "Which is bigger, the box (id: 2) or the crate (id: 1)?",
+    ],
+)
+def test_size_question_past_the_bound_is_invalid_either_way(tmp_path, capsys, query):
+    path = crate_box_file(tmp_path)
+    assert main(["ask", path, query]) == 1
+    assert_one_error_line(capsys.readouterr(), "error: invalid scene: node[0].bbox_extent: ")
+    assert main(["validate", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("2 nodes, 2 issues\n")
+    assert "node[0].bbox_extent" in out and "node[1].bbox_extent" in out
+    assert main(["describe", path]) == 1
+    assert_one_error_line(capsys.readouterr(), "error: invalid scene: node[0].bbox_extent: ")
 
 
 class TestAsk:
@@ -301,6 +338,26 @@ class TestAsk:
         assert "Traceback" not in captured.out + captured.err
         if strict:
             assert captured.err.startswith(f"error: unparseable response: {note}")
+
+    def test_reply_citing_a_pruned_node_is_not_grounded(self, couch_pillow_file, tmp_path, capsys):
+        # At a budget of 720 the couch (id 28) is pruned from the prompt.
+        reply = (
+            "STEP1 - inferred_query: where is the pillow\n"
+            "STEP2 - relevant_objects: [27, 28]\n"
+            "STEP3 - reason for relevance: named\n"
+            'STEP4 - Final Answer: on the couch {"object_tag": "white couch", "object_id": 28}\n'
+            "STEP-5 - Explanation: done\n"
+        )
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([reply, reply]), encoding="utf-8")
+        ask = ["ask", couch_pillow_file, "where is the pillow?", "--backend", "mock", "--mock-script", str(script)]
+        assert main(["--format", "json"] + ask) == 0
+        assert json.loads(capsys.readouterr().out)["grounding_issues"] == []
+        assert main(["--format", "json", "--budget", "720"] + ask) == 1
+        assert json.loads(capsys.readouterr().out)["grounding_issues"] == [
+            "NotInPrompt: id 28 not in the prompt",
+            "NotInPrompt: final id 28 not in the prompt",
+        ]
 
     def test_live_wrong_shape_body_exits_2(self, couch_pillow_file, monkeypatch, capsys):
         class WrongShape:
@@ -388,7 +445,10 @@ def test_scene_not_utf8_exits_2(tmp_path, capsys, command):
 
 
 SCENES_PAST_PARSER_LIMITS = {
-    "int_coordinate_past_float": (json.dumps([box_row(0, [10**400, 0, 0])]), "out of float range"),
+    "int_coordinate_past_float": (
+        json.dumps([box_row(0, [10**400, 0, 0])]),
+        "component must be a number within 1e+09 m",
+    ),
     "int_past_str_conversion_limit": (
         '[{"id": 0, "bbox_extent": [1, 1, 1], "bbox_center": [0, 0, 0], "object_tag": "box", "note": 1'
         + "0" * 4400
@@ -562,6 +622,14 @@ class TestConfig:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"oracle": {"near_threshold": -1}}), encoding="utf-8")
         assert main(["--config", str(config), "validate", couch_pillow_file]) == 2
+
+    def test_near_threshold_past_the_bound_rejected(self, couch_pillow_file, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"oracle": {"near_threshold": 1e10}}), encoding="utf-8")
+        assert main(["--config", str(config), "describe", couch_pillow_file, "--relations"]) == 2
+        assert_one_error_line(capsys.readouterr(), "error: bad configuration: near_threshold must be at most 1e+09")
+        config.write_text(json.dumps({"oracle": {"near_threshold": MAX_COORDINATE}}), encoding="utf-8")
+        assert main(["--config", str(config), "describe", couch_pillow_file, "--relations"]) == 0
 
     def test_zero_budget_flag_rejected(self, couch_pillow_file, capsys):
         assert main(["--budget", "0", "validate", couch_pillow_file]) == 2

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from scenequery.oracle import (
     relative_position,
     size_compare,
 )
-from scenequery.scene_model import ObjectNode, SceneGraph, Vec3
+from scenequery.scene_model import MAX_COORDINATE, ObjectNode, SceneError, SceneGraph, Vec3, parse_scene
 
 
 def box(node_id, extent, center, tag="obj"):
@@ -251,17 +252,36 @@ def test_on_top_of_antisymmetric(pair):
     assert not (on_top_of(a, b) and on_top_of(b, a))
 
 
-@given(nodes_pair())
+MIRRORED = {
+    SizeOrdering.BIGGER: SizeOrdering.SMALLER,
+    SizeOrdering.SMALLER: SizeOrdering.BIGGER,
+    SizeOrdering.SIMILAR: SizeOrdering.SIMILAR,
+}
+# Extents parse_scene accepts, from the subnormal to the bound.
+parsed_extent = st.one_of(
+    st.floats(0, MAX_COORDINATE),
+    st.integers(0, int(MAX_COORDINATE)),
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, MAX_COORDINATE]),
+)
+
+
+@st.composite
+def parsed_pair(draw):
+    extents = [draw(st.lists(parsed_extent, min_size=3, max_size=3)) for _ in range(2)]
+    rows = [{"id": i, "bbox_extent": e, "bbox_center": [0, 0, 0], "object_tag": "obj"} for i, e in enumerate(extents)]
+    return parse_scene(json.dumps(rows)).nodes
+
+
+@given(st.one_of(nodes_pair(), parsed_pair()))
 @example((box(1, (0.5, 2.6, 2.8), (0, 0, 0)), box(2, (1.3, 2.2, 1.4), (0, 0, 0))))
+@example((box(1, (MAX_COORDINATE,) * 3, (0, 0, 0)), box(2, (MAX_COORDINATE, MAX_COORDINATE, 999999936.0), (0, 0, 0))))
+@example((box(1, (5e-324, 1, 1), (0, 0, 0)), box(2, (MAX_COORDINATE,) * 3, (0, 0, 0))))
+@example((box(1, (5e-324,) * 3, (0, 0, 0)), box(2, (1e-310,) * 3, (0, 0, 0))))
 def test_size_compare_consistent(pair):
+    """size_compare(b, a) mirrors size_compare(a, b), on grid boxes and on
+    boxes parse_scene accepts, from subnormal extents to the bound."""
     a, b = pair
-    ab, ba = size_compare(a, b), size_compare(b, a)
-    if ab.ordering is SizeOrdering.BIGGER:
-        assert ba.ordering is SizeOrdering.SMALLER
-    elif ab.ordering is SizeOrdering.SMALLER:
-        assert ba.ordering is SizeOrdering.BIGGER
-    else:
-        assert ba.ordering is SizeOrdering.SIMILAR
+    assert size_compare(b, a).ordering is MIRRORED[size_compare(a, b).ordering]
 
 
 @given(nodes_pair())
@@ -358,30 +378,31 @@ NEAR_ONLY_ACROSS_A_BAND_EDGE = (
     SceneGraph(nodes=(box(0, (0.01, 0.01, 0.01), (0, 0, 0)), box(1, (0.01, 0.01, 0.01), (1.0, 0, 0)))),
     OracleConfig(near_threshold=1.0),
 )
-# A threshold of 1e301 puts |x| + threshold / 2 past 2**1000 (~1.07e301),
-# so every pair is a candidate. Boxes 0 and 2 are not near; the other
-# pairs are.
+# Boxes at the bound of the scene contract under the largest threshold:
+# the sweep's margin is at its widest. Boxes 0 and 2 are not near; the
+# other pairs are, at exactly the threshold.
 FAR_RANGE = (
     SceneGraph(
         nodes=(
-            box(0, (1, 1, 1), (6e300, 0, 0)),
-            box(1, (1, 1, 1), (-3e300, 0, 0)),
-            box(2, (1, 1, 1), (-6e300, 0, 0)),
+            box(0, (1, 1, 1), (MAX_COORDINATE, 0, 0)),
+            box(1, (1, 1, 1), (0, 0, 0)),
+            box(2, (1, 1, 1), (-MAX_COORDINATE, 0, 0)),
         )
     ),
-    OracleConfig(near_threshold=1e301),
+    OracleConfig(near_threshold=MAX_COORDINATE),
 )
-# The same threshold just inside the range the sweep splits into bands:
-# |y| + threshold / 2 stays under 1.06e301. Boxes 0 and 2 are not near.
+# The same threshold on y, with extents at the bound: box 3 rests on the
+# top face of box 0, half the bound up. Boxes 0 and 2 are not near.
 LARGE_THRESHOLD = (
     SceneGraph(
         nodes=(
-            box(0, (1, 1, 1), (0, -5e300, 0)),
+            box(0, (MAX_COORDINATE,) * 3, (0, -MAX_COORDINATE, 0)),
             box(1, (1, 1, 1), (0, 0, 0)),
-            box(2, (1, 1, 1), (0, 5.5e300, 0)),
+            box(2, (1, 1, 1), (0, MAX_COORDINATE, 0)),
+            box(3, (1, 1, 1), (0, -MAX_COORDINATE, MAX_COORDINATE / 2 + 0.5)),
         )
     ),
-    OracleConfig(near_threshold=1e301),
+    OracleConfig(near_threshold=MAX_COORDINATE),
 )
 
 
@@ -470,8 +491,17 @@ def test_footprints_touching_across_a_band_boundary():
 
 
 def test_box_face_at_infinity():
-    # The slab's max y overflows to infinity; the y bands cannot split it.
-    scene = SceneGraph(nodes=(box(1, (1, 1.6e308, 1), (0, 1e308, 0)), box(2, (1, 1, 1), (0, 1e308, 0.9))))
+    # A face at infinity cannot be parsed; at the bound the slab reaches
+    # 1.5 times it, and the y bands still split it.
+    rows = [
+        {"id": 1, "bbox_extent": [1, 1.6e308, 1], "bbox_center": [0, 1e308, 0], "object_tag": "slab"},
+        {"id": 2, "bbox_extent": [1, 1, 1], "bbox_center": [0, 1e308, 0.9], "object_tag": "box"},
+    ]
+    with pytest.raises(SceneError, match=r"node\[0\]\.bbox_extent"):
+        parse_scene(json.dumps(rows))
+    scene = SceneGraph(
+        nodes=(box(1, (1, MAX_COORDINATE, 1), (0, MAX_COORDINATE, 0)), box(2, (1, 1, 1), (0, MAX_COORDINATE, 0.9)))
+    )
     cfg = OracleConfig()
     assert derive_edges(scene, cfg) == brute_force_edges(scene, cfg)
     assert (2, SpatialRelation.ON_TOP_OF, 1) in brute_force_edges(scene, cfg)

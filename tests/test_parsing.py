@@ -243,6 +243,19 @@ class TestValidateGrounding:
         text = WELL_FORMED.replace('"object_tag": "vase"', '"object_tag": "VASE"')
         assert validate_grounding(parse_response(text), scene) == []
 
+    def test_id_left_out_of_the_prompt(self, sample_scene_json):
+        # Ids 0 and 5 are in the scene; the prompt kept only 5. An id in
+        # neither is still UnknownId, and a pruned final id gets no tag check.
+        scene = parse_scene(sample_scene_json)
+        text = WELL_FORMED.replace("[0, 5]", "[0, 99]").replace('"object_tag": "vase"', '"object_tag": "couch"')
+        issues = validate_grounding(parse_response(text), scene, (5,))
+        assert [str(i) for i in issues] == [
+            "NotInPrompt: id 0 not in the prompt",
+            "UnknownId: id 99 not in scene",
+            "NotInPrompt: final id 0 not in the prompt",
+        ]
+        assert validate_grounding(parse_response(WELL_FORMED), scene, (0, 5)) == []
+
     def test_issues_sorted_by_step(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
         text = WELL_FORMED.replace("[0, 5]", "[7, 8, 9]").replace('"object_id": 0', '"object_id": 42')
