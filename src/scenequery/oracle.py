@@ -83,6 +83,9 @@ class OracleConfig:
         # Bounded like scene numbers, so derive_edges' sweep bounds stay finite.
         if self.near_threshold > MAX_COORDINATE:
             raise ValueError(f"near_threshold must be at most {MAX_COORDINATE:g}")
+        # Below 1, equal volumes are Smaller both ways round.
+        if self.similar_volume_ratio < 1:
+            raise ValueError("similar_volume_ratio must be >= 1")
 
 
 @dataclass(frozen=True)

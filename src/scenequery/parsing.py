@@ -180,23 +180,23 @@ def parse_response(text: str, strict: bool = False) -> ParsedResponse:
 
 
 def _id_issue(
-    obj_id: int, scene: SceneGraph, in_prompt: Optional[Collection[int]], what: str, step: int
+    obj_id: int, scene: SceneGraph, in_prompt: Collection[int], what: str, step: int
 ) -> Optional[GroundingIssue]:
     """UnknownId for an id outside the scene, NotInPrompt for one the
     prompt left out, else None."""
     if not scene.has_node(obj_id):
         return GroundingIssue(IssueKind.UNKNOWN_ID, f"{what} {obj_id} not in scene", step=step)
-    if in_prompt is not None and obj_id not in in_prompt:
+    if obj_id not in in_prompt:
         return GroundingIssue(IssueKind.NOT_IN_PROMPT, f"{what} {obj_id} not in the prompt", step=step)
     return None
 
 
 def validate_grounding(
-    resp: ParsedResponse, scene: SceneGraph, in_prompt: Optional[Collection[int]] = None
+    resp: ParsedResponse, scene: SceneGraph, in_prompt: Collection[int]
 ) -> list[GroundingIssue]:
-    """Check the response against the scene it claims to describe and,
-    when `in_prompt` is given, against the ids of the nodes the prompt
-    showed the model.
+    """Check the response against the scene it claims to describe and
+    against `in_prompt`, the ids of the nodes the prompt showed the
+    model.
 
     Issues are data, not exceptions; an empty list means the answer is
     fully grounded. Ordered by step number.

@@ -250,7 +250,7 @@ def test_criterion_7_parser_robustness(couch_pillow_scene):
         rendered = oracle_backed_mock(couch_pillow_scene, query)
         parsed = parse_response(rendered)
         assert parsed.notes == ()
-        assert validate_grounding(parsed, couch_pillow_scene) == []
+        assert validate_grounding(parsed, couch_pillow_scene, (27, 28)) == []
         assert set(parsed.relevant_object_ids) == {27, 28}
         assert parsed.final_object_id is not None
         assert query.text in parsed.inferred_query

@@ -631,6 +631,27 @@ class TestConfig:
         config.write_text(json.dumps({"oracle": {"near_threshold": MAX_COORDINATE}}), encoding="utf-8")
         assert main(["--config", str(config), "describe", couch_pillow_file, "--relations"]) == 0
 
+    def test_similar_volume_ratio_below_one_rejected(self, tmp_path, capsys):
+        # Below 1, two boxes of equal volume were each Smaller than the other.
+        scene = tmp_path / "scene.json"
+        scene.write_text(
+            json.dumps(
+                [
+                    {"id": 1, "bbox_extent": [1, 1, 2], "bbox_center": [0, 0, 0], "object_tag": "crate"},
+                    {"id": 2, "bbox_extent": [2, 1, 1], "bbox_center": [5, 0, 0], "object_tag": "box"},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"oracle": {"similar_volume_ratio": 0.5}}), encoding="utf-8")
+        query = "Which is bigger, the crate (id: 1) or the box (id: 2)?"
+        assert main(["--config", str(config), "ask", str(scene), query]) == 2
+        assert_one_error_line(capsys.readouterr(), "error: bad configuration: similar_volume_ratio must be >= 1")
+        config.write_text(json.dumps({"oracle": {"similar_volume_ratio": 1}}), encoding="utf-8")
+        assert main(["--config", str(config), "ask", str(scene), query]) == 0
+        assert "similar" in capsys.readouterr().out.lower()
+
     def test_zero_budget_flag_rejected(self, couch_pillow_file, capsys):
         assert main(["--budget", "0", "validate", couch_pillow_file]) == 2
         assert_one_error_line(capsys.readouterr(), "error: bad configuration: token budget must be positive")

@@ -224,7 +224,7 @@ class TestOracleBackedMock:
         ):
             text = oracle_backed_mock(couch_pillow_scene, q)
             parsed = parse_response(text)
-            assert validate_grounding(parsed, couch_pillow_scene) == []
+            assert validate_grounding(parsed, couch_pillow_scene, (27, 28)) == []
             assert parsed.notes == ()
 
     @pytest.mark.parametrize("tag", ["cup", '12" tv', "back\\slash", "tab\there", "bell\x07", "tête", "\ud800"])
@@ -237,7 +237,7 @@ class TestOracleBackedMock:
         assert step4.endswith(" " + json.dumps({"object_tag": tag, "object_id": 1}, ensure_ascii=False))
         parsed = parse_response(text)
         assert (parsed.final_object_tag, parsed.final_object_id) == (tag, 1)
-        assert validate_grounding(parsed, scene) == []
+        assert validate_grounding(parsed, scene, (1, 2)) == []
 
 
 class TestComplete:

@@ -213,35 +213,39 @@ class TestDeepNesting:
             parse_response(DEEP_REPLY, strict=True)
 
 
+def _every_id(scene):
+    return tuple(n.id for n in scene.nodes)
+
+
 class TestValidateGrounding:
     def test_clean(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
         parsed = parse_response(WELL_FORMED)
-        assert validate_grounding(parsed, scene) == []
+        assert validate_grounding(parsed, scene, _every_id(scene)) == []
 
     def test_unknown_id(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
         text = WELL_FORMED.replace("[0, 5]", "[0, 99]")
-        issues = validate_grounding(parse_response(text), scene)
+        issues = validate_grounding(parse_response(text), scene, _every_id(scene))
         assert [i.kind for i in issues] == [IssueKind.UNKNOWN_ID]
         assert "99" in issues[0].detail
 
     def test_too_many_relevant(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
         text = WELL_FORMED.replace("[0, 5]", "[0, 5, 5]")
-        issues = validate_grounding(parse_response(text), scene)
+        issues = validate_grounding(parse_response(text), scene, _every_id(scene))
         assert any(i.kind is IssueKind.TOO_MANY_RELEVANT for i in issues)
 
     def test_tag_mismatch(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
         text = WELL_FORMED.replace('"object_tag": "vase"', '"object_tag": "couch"')
-        issues = validate_grounding(parse_response(text), scene)
+        issues = validate_grounding(parse_response(text), scene, _every_id(scene))
         assert [i.kind for i in issues] == [IssueKind.TAG_MISMATCH]
 
     def test_tag_match_case_insensitive(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
         text = WELL_FORMED.replace('"object_tag": "vase"', '"object_tag": "VASE"')
-        assert validate_grounding(parse_response(text), scene) == []
+        assert validate_grounding(parse_response(text), scene, _every_id(scene)) == []
 
     def test_id_left_out_of_the_prompt(self, sample_scene_json):
         # Ids 0 and 5 are in the scene; the prompt kept only 5. An id in
@@ -259,7 +263,7 @@ class TestValidateGrounding:
     def test_issues_sorted_by_step(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
         text = WELL_FORMED.replace("[0, 5]", "[7, 8, 9]").replace('"object_id": 0', '"object_id": 42')
-        issues = validate_grounding(parse_response(text), scene)
+        issues = validate_grounding(parse_response(text), scene, _every_id(scene))
         assert [i.step for i in issues] == sorted(i.step for i in issues)
 
 
