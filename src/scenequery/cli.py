@@ -30,8 +30,8 @@ from .evalharness import (
     run_eval,
 )
 from .oracle import OracleConfig, derive_edges
-from .prompts import BudgetInfeasible, build_prompt, estimate_tokens
-from .scene_model import SceneError, SceneGraph, parse_scene, scene_issues, serialize_scene
+from .prompts import BudgetInfeasible, build_prompt, length_tokens
+from .scene_model import SceneError, SceneGraph, parse_scene, scene_issues, serialized_length
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -291,7 +291,7 @@ def cmd_eval(args: argparse.Namespace, cfg: EvalConfig) -> int:
 def cmd_compact(args: argparse.Namespace, cfg: EvalConfig) -> int:
     scene = _read_scene(args.scene)
     query = args.query or ""
-    before = estimate_tokens(serialize_scene(scene))
+    before = length_tokens(serialized_length(scene))
     try:
         bundle = build_prompt(scene, query, budget=cfg.budget)
     except BudgetInfeasible as exc:

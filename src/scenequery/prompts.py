@@ -15,8 +15,9 @@ numbers to one decimal. Each node is encoded once per scene, on the
 scene's first serialization, and the encodings are shared by every later
 prompt on that scene: by all of `run_eval`'s queries on it, and by the
 full, caption-less and attribute-less forms that compaction tries.
-Pruning tracks the scene's serialized length by subtraction, so it never
-re-serializes.
+Compaction fit-checks each form by the length the scene keeps with its
+encodings, so only the form that is sent becomes node JSON. Pruning
+tracks that form's length by subtraction, so it never re-serializes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .scene_model import ObjectNode, SceneGraph, encoded_nodes
+from .scene_model import ObjectNode, SceneGraph, encoded_nodes, serialized_length
 
 DEFAULT_TOKEN_BUDGET = 16000
 
@@ -57,7 +58,12 @@ class PromptBundle:
 
 def estimate_tokens(text: str) -> int:
     """Cheap length-based token estimate: one token per 4 characters."""
-    return math.ceil(len(text) / 4)
+    return length_tokens(len(text))
+
+
+def length_tokens(length: int) -> int:
+    """estimate_tokens of a text `length` characters long."""
+    return math.ceil(length / 4)
 
 
 def load_template() -> str:
@@ -89,8 +95,7 @@ _WORD = re.compile(r"[a-z0-9]+")
 
 
 def _relevance(node: ObjectNode, query_words: set[str]) -> int:
-    node_words = set(_WORD.findall((node.object_tag + " " + node.caption).lower()))
-    return len(node_words & query_words)
+    return len(query_words.intersection(_WORD.findall((node.object_tag + " " + node.caption).lower())))
 
 
 def compact_scene(
@@ -104,31 +109,30 @@ def compact_scene(
     in the query are never pruned; if the budget still cannot be met once
     everything else is gone, BudgetInfeasible reports the overflow.
 
-    Each form's node JSON comes from the scene's serialization cache and
-    is joined only if it fits. The serialized length of the kept nodes is
-    kept up to date by subtraction, so a fit check costs O(1) however many
-    nodes are pruned.
+    Each form is fit-checked by its serialized length, which the scene's
+    serialization cache keeps with the node items, so node JSON is built
+    and joined only for the form that is sent. Pruning keeps the length of
+    the kept nodes up to date by subtraction, so a fit check costs O(1)
+    however many nodes are pruned.
     """
 
     def overflow(scene_length: int) -> int:
-        # Tokens over budget; estimate_tokens of a scene JSON this long.
-        return template_overhead + math.ceil(scene_length / 4) - budget
+        # Tokens over budget with a scene JSON this long.
+        return template_overhead + length_tokens(scene_length) - budget
 
     if budget <= template_overhead:
         raise BudgetInfeasible(template_overhead - budget + 1)
 
     for actions, omit in _FORMS:
-        encoded = encoded_nodes(scene, omit)
-        # The length of "[" + ", ".join(encoded) + "]", as serialize_scene writes it.
-        length = sum(map(len, encoded)) + max(2 * len(encoded), 2)
+        length = serialized_length(scene, omit)
         if overflow(length) <= 0:
-            return scene, list(actions), "[" + ", ".join(encoded) + "]"
+            return scene, list(actions), "[" + ", ".join(encoded_nodes(scene, omit)) + "]"
 
     # Prune from the last form. Recorded for the canonical order;
     # serialization already rounds to one decimal, so this step changes no
     # byte and needs no new check.
     actions = [*actions, ACTION_ROUND_NUMERICS]
-    by_id = dict(zip((n.id for n in scene.nodes), encoded))
+    by_id = dict(zip((n.id for n in scene.nodes), encoded_nodes(scene, omit)))
     pruned: set[int] = set()
     lowered = query.lower()
     query_words = set(_WORD.findall(lowered))
@@ -162,7 +166,7 @@ def build_prompt(scene: SceneGraph, query: str, budget: int = DEFAULT_TOKEN_BUDG
     BudgetInfeasible is raised.
     """
     head, middle, tail = template_parts()
-    overhead = math.ceil((len(head) + len(middle) + len(query) + len(tail)) / 4)
+    overhead = length_tokens(len(head) + len(middle) + len(query) + len(tail))
 
     scene, actions, scene_json = compact_scene(scene, query, budget, overhead)
     system_text = head + scene_json + middle + query + tail

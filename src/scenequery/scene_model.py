@@ -4,6 +4,14 @@ A scene is a flat list of objects, each described by an id, an
 axis-aligned bounding box (center + per-axis extents, z up) and a few
 semantic attributes (tag, caption, color, material). Spatial edges are
 derived by the oracle, never stored in the file format.
+
+`parse_scene` checks every node once and keeps each box number within
+MAX_COORDINATE of 0; the writer relies on that bound to write box numbers
+at one decimal with one format call. `serialize_scene` writes the bytes
+json.dumps would. A scene encodes each node once, on its first
+serialization, and keeps the encoded items, their lengths and each omit
+set's node JSON for every later call, so the length of any form of the
+scene is known without building it.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from typing import Any, Iterable, NamedTuple
 NODE_KEYS = ("id", "bbox_extent", "bbox_center", "object_tag", "caption", "color", "material")
 REQUIRED_KEYS = ("id", "bbox_extent", "bbox_center", "object_tag")
 OPTIONAL_TEXT_KEYS = ("caption", "color", "material")
+_NODE_KEY_SET = frozenset(NODE_KEYS)
 # The largest magnitude of a box number, in metres.
 MAX_COORDINATE = 1e9
 
@@ -86,11 +95,12 @@ class SceneGraph:
                     raise SceneError(f"duplicate node id {n.id}")
                 seen.add(n.id)
         object.__setattr__(self, "_by_id", by_id)
-        # The serialization cache, filled by `encoded_nodes`: None -> each
-        # node's encoded fields, each omit set -> each node's JSON object.
-        # No dataclass field, so equality, hash and repr leave it out. An
-        # entry is a pure function of the immutable nodes and its key, so
-        # threads that race to fill one store equal values.
+        # The serialization cache, filled by `encoded_nodes` and
+        # `serialized_length`: None -> each node's encoded items and the
+        # scene's serialized length per omit set, each omit set -> each
+        # node's JSON object. No dataclass field, so equality, hash and repr
+        # leave it out. An entry is a pure function of the immutable nodes
+        # and its key, so threads that race to fill one store equal values.
         object.__setattr__(self, "_json_by_omit", {})
 
     def node(self, node_id: int) -> ObjectNode:
@@ -103,9 +113,26 @@ class SceneGraph:
         return node_id in self._by_id
 
 
+# `_parse_vec3` and `_parse_node` take values from json.loads, which makes
+# no subclass of int, float, str, list or dict but bool. So there
+# `type(v) is int` tests what `isinstance(v, int) and not isinstance(v, bool)`
+# does, and `type(v) is T` what `isinstance(v, T)` does for the others.
+
+
 def _parse_vec3(value: Any, index: int, field_name: str) -> Vec3:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
+    if type(value) is not list or len(value) != 3:
         raise SceneError("expected a 3-element array", index, field_name)
+    x, y, z = value
+    # The common case, three floats within the bound; NaN fails a comparison.
+    if (
+        type(x) is float
+        and type(y) is float
+        and type(z) is float
+        and -MAX_COORDINATE <= x <= MAX_COORDINATE
+        and -MAX_COORDINATE <= y <= MAX_COORDINATE
+        and -MAX_COORDINATE <= z <= MAX_COORDINATE
+    ):
+        return Vec3(x, y, z)
     for c in value:
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise SceneError(f"non-numeric component {c!r}", index, field_name)
@@ -116,46 +143,35 @@ def _parse_vec3(value: Any, index: int, field_name: str) -> Vec3:
 
 
 def _parse_node(obj: Any, index: int) -> ObjectNode:
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise SceneError("expected a JSON object", index)
     for key in REQUIRED_KEYS:
         if key not in obj:
             raise SceneError(f"missing required field {key!r}", index, key)
 
     node_id = obj["id"]
-    if isinstance(node_id, bool) or not isinstance(node_id, int):
+    if type(node_id) is not int:
         raise SceneError(f"id must be an integer, got {node_id!r}", index, "id")
     if node_id < 0:
         raise SceneError(f"id must be non-negative, got {node_id}", index, "id")
 
     extent = _parse_vec3(obj["bbox_extent"], index, "bbox_extent")
-    for c in extent:
-        if c < 0:
-            raise SceneError(f"negative extent component {c}", index, "bbox_extent")
+    if not (extent.x >= 0 and extent.y >= 0 and extent.z >= 0):
+        c = next(c for c in extent if c < 0)
+        raise SceneError(f"negative extent component {c}", index, "bbox_extent")
     center = _parse_vec3(obj["bbox_center"], index, "bbox_center")
 
     tag = obj["object_tag"]
-    if not isinstance(tag, str) or not tag:
+    if type(tag) is not str or not tag:
         raise SceneError("object_tag must be a non-empty string", index, "object_tag")
 
-    texts = {}
-    for key in OPTIONAL_TEXT_KEYS:
-        value = obj.get(key, "")
-        if not isinstance(value, str):
-            raise SceneError(f"{key} must be a string", index, key)
-        texts[key] = value
+    caption, color, material = obj.get("caption", ""), obj.get("color", ""), obj.get("material", "")
+    if not (type(caption) is str and type(color) is str and type(material) is str):
+        key = next(k for k in OPTIONAL_TEXT_KEYS if type(obj.get(k, "")) is not str)
+        raise SceneError(f"{key} must be a string", index, key)
 
-    extra = tuple((k, v) for k, v in obj.items() if k not in NODE_KEYS)
-    return ObjectNode(
-        id=node_id,
-        bbox_extent=extent,
-        bbox_center=center,
-        object_tag=tag,
-        caption=texts["caption"],
-        color=texts["color"],
-        material=texts["material"],
-        extra=extra,
-    )
+    extra = () if obj.keys() <= _NODE_KEY_SET else tuple((k, v) for k, v in obj.items() if k not in _NODE_KEY_SET)
+    return ObjectNode(node_id, extent, center, tag, caption, color, material, extra)
 
 
 def _read_nodes(json_text: str) -> tuple[int, list[ObjectNode], list[SceneError]]:
@@ -202,11 +218,6 @@ def parse_scene(json_text: str) -> SceneGraph:
     return SceneGraph(nodes=tuple(nodes))
 
 
-def _round(value: float) -> float:
-    # One decimal; adding 0.0 keeps -0.0 out of the output.
-    return round(value, 1) + 0.0
-
-
 def _encode_fields(node: ObjectNode) -> tuple[str, ...]:
     """The node's items, each encoded once as json.dumps writes it inside
     the node's object: '"key": value' for each of NODE_KEYS in order, then
@@ -225,14 +236,47 @@ def _encode_fields(node: ObjectNode) -> tuple[str, ...]:
 
 
 def _encode_vec3(v: Vec3) -> str:
-    """json.dumps of the rounded components: json writes a finite float as
-    float.__repr__ does."""
-    return "[" + ", ".join(map(float.__repr__, map(_round, v))) + "]"
+    """json.dumps of the components rounded to one decimal, with -0.0
+    written as 0.0. json writes a float as float.__repr__ does. For a box
+    number within MAX_COORDINATE, "%.1f" writes the correctly rounded
+    digits that round(c, 1) keeps, and float.__repr__ of a one-decimal
+    float below 1e16 writes those digits back. "%.1f" writes "-0.0" only
+    as a whole item, for a number that rounds to zero from below."""
+    return ("[%.1f, %.1f, %.1f]" % v).replace("-0.0", "0.0")
 
 
 def _node_json(fields: tuple[str, ...], omit: frozenset[str]) -> str:
     # An extra pairs with key None, so it is never omitted.
     return "{" + ", ".join([item for key, item in zip_longest(NODE_KEYS, fields) if key not in omit]) + "}"
+
+
+class _Items:
+    """A scene's encoded items and what they add to its JSON. In a node's
+    object each item adds its length + 2: a ", " after all but the last,
+    whose 2 pay for the braces. In the array each node adds its length + 2
+    the same way."""
+
+    __slots__ = ("fields", "key_lengths", "other_length", "lengths")
+
+    def __init__(self, nodes: tuple[ObjectNode, ...]):
+        # Each node's items, from _encode_fields.
+        self.fields = fields = tuple(_encode_fields(n) for n in nodes)
+        count = len(fields)
+        # For each of NODE_KEYS, the sum over nodes of its item's length + 2.
+        self.key_lengths = tuple(sum(map(len, column)) + 2 * count for column in zip(*fields))
+        # The sum over extras of length + 2, plus 2 per node.
+        self.other_length = sum(len(item) + 2 for f in fields for item in f[len(NODE_KEYS) :]) + 2 * count
+        # omit set -> serialized_length, filled on first use.
+        self.lengths: dict[frozenset[str], int] = {}
+
+
+def _items(scene: SceneGraph) -> _Items:
+    """The scene's encoded items, each node encoded once per scene."""
+    cache = scene._json_by_omit
+    items = cache.get(None)
+    if items is None:
+        items = cache[None] = _Items(scene.nodes)
+    return items
 
 
 def encoded_nodes(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> tuple[str, ...]:
@@ -243,11 +287,25 @@ def encoded_nodes(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> tuple
     cache = scene._json_by_omit
     out = cache.get(omit)
     if out is None:
-        fields = cache.get(None)
-        if fields is None:
-            fields = cache[None] = tuple(_encode_fields(n) for n in scene.nodes)
-        out = cache[omit] = tuple(_node_json(f, omit) for f in fields)
+        out = cache[omit] = tuple(_node_json(f, omit) for f in _items(scene).fields)
     return out
+
+
+def serialized_length(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> int:
+    """len(serialize_scene(scene, omit)), from lengths kept with the scene's
+    encoded items: no node's JSON is built. Computed once per scene and
+    omit set."""
+    omit = frozenset(omit)
+    items = _items(scene)
+    known = items.lengths.get(omit)
+    if known is None:
+        length = items.other_length + sum(n for key, n in zip(NODE_KEYS, items.key_lengths) if key not in omit)
+        if omit.issuperset(NODE_KEYS):
+            # A node left with no item is written "{}".
+            length += 2 * sum(len(f) == len(NODE_KEYS) for f in items.fields)
+        # An empty array is "[]".
+        known = items.lengths[omit] = max(length, 2)
+    return known
 
 
 def serialize_scene(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> str:

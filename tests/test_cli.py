@@ -15,7 +15,8 @@ from scenequery.cli import build_parser, main
 from scenequery.evalharness import EvalConfig, answer
 from scenequery.llm import OracleMockBackend
 from scenequery.oracle import OracleConfig, derive_edges
-from scenequery.scene_model import MAX_COORDINATE, NODE_KEYS, parse_scene
+from scenequery.prompts import estimate_tokens
+from scenequery.scene_model import MAX_COORDINATE, NODE_KEYS, parse_scene, serialize_scene
 from conftest import SAMPLE_SCENE_JSON
 from test_oracle import brute_force_edges, multi_room_scene
 
@@ -602,6 +603,22 @@ class TestCompact:
         out = capsys.readouterr().out
         assert "actions:" in out
         assert "(none)" not in out
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SAMPLE_SCENE_JSON,
+            "[]",
+            '[{"id": 3, "bbox_extent": [0.05, 2.675, 999999999.95], "bbox_center": [-0.04, -1e9, 0],'
+            ' "object_tag": "caf\u00e9", "score": [1.25, null]}]',
+        ],
+    )
+    def test_estimate_before_is_the_full_scene(self, tmp_path, capsys, text):
+        path = tmp_path / "scene.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--format", "json", "compact", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scene_estimate_before"] == estimate_tokens(serialize_scene(parse_scene(text)))
 
     def test_tiny_budget_infeasible(self, scene_file, capsys):
         code = main(["--budget", "10", "compact", scene_file, "--query", "q"])

@@ -352,6 +352,25 @@ class TestSceneEncodedOnce:
             assert any(a.startswith(prompts.ACTION_PRUNE_NODE) for a in bundle.compaction_report)
         assert encodings == {n.id: 1 for n in scene.nodes}
 
+    @pytest.mark.parametrize(
+        "budget, sent", [(3000, frozenset({"caption", "color", "material"})), (16000, frozenset())]
+    )
+    def test_cold_prompt_joins_one_form(self, monkeypatch, budget, sent):
+        # Forms are fit-checked by length: only the form sent, the
+        # attribute-less one when pruning, builds node JSON.
+        omits = collections.Counter()
+        original = scene_model._node_json
+
+        def counting(fields, omit):
+            omits[omit] += 1
+            return original(fields, omit)
+
+        monkeypatch.setattr(scene_model, "_node_json", counting)
+        scene = generate_scene(SceneRecipe(seed=0, node_count=150)).scene
+        bundle = prompts.build_prompt(scene, f"Where is the {scene.nodes[0].object_tag}?", budget=budget)
+        assert any(a.startswith(prompts.ACTION_PRUNE_NODE) for a in bundle.compaction_report) == (budget == 3000)
+        assert omits == {sent: len(scene.nodes)}
+
     def test_describe_and_validate_encode_nothing(self, encodings, tmp_path, capsys):
         path = tmp_path / "scene.json"
         path.write_text(serialize_scene(generate_scene(SceneRecipe(seed=1)).scene), encoding="utf-8")

@@ -10,6 +10,7 @@ from scenequery.prompts import (
     ACTION_DROP_CAPTIONS,
     ACTION_PRUNE_NODE,
     ACTION_ROUND_NUMERICS,
+    _FORMS,
     BudgetInfeasible,
     PromptBundle,
     build_prompt,
@@ -18,7 +19,15 @@ from scenequery.prompts import (
     load_template,
     template_parts,
 )
-from scenequery.scene_model import NODE_KEYS, ObjectNode, SceneGraph, Vec3, parse_scene, serialize_scene
+from scenequery.scene_model import (
+    NODE_KEYS,
+    ObjectNode,
+    SceneGraph,
+    Vec3,
+    parse_scene,
+    serialize_scene,
+    serialized_length,
+)
 
 
 class TestEstimateTokens:
@@ -410,6 +419,18 @@ def test_build_prompt_matches_reference(data, scene, stop, pick):
     assert [n.id for n in kept.nodes] == [n.id for n in reference_kept.nodes]
     assert actions == reference_actions
     assert scene_json == serialize_scene(reference_kept, reference_omit(reference_actions))
+
+
+@given(scenes())
+@example(EMPTY)
+@example(ONE)
+@example(NON_ASCII)
+def test_form_lengths_match_serialization(scene):
+    """compact_scene fit-checks each form by the length kept with the
+    scene's items; it must be the length of the form's JSON, cold and warm."""
+    lengths = [serialized_length(scene, omit) for _, omit in _FORMS]
+    assert lengths == [len(serialize_scene(scene, omit)) for _, omit in _FORMS]
+    assert [serialized_length(scene, omit) for _, omit in _FORMS] == lengths
 
 
 def captioned_scene():

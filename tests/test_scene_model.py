@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from scenequery.oracle import _box
 from scenequery.scene_model import (
+    _encode_vec3,
     MAX_COORDINATE,
     NODE_KEYS,
     OPTIONAL_TEXT_KEYS,
@@ -18,6 +19,7 @@ from scenequery.scene_model import (
     parse_scene,
     scene_issues,
     serialize_scene,
+    serialized_length,
 )
 
 
@@ -245,6 +247,50 @@ def test_scene_issues_collects_all():
     assert len(issues) == 2
 
 
+# One node per kind of failure, then a valid node, a node with an extra key
+# and a repeat of the valid node's id.
+EVERY_ISSUE = """[
+ [1, 2, 3],
+ {"id": 1, "bbox_extent": [1, 1, 1], "object_tag": "lamp"},
+ {"id": true, "bbox_extent": [1, 1, 1], "bbox_center": [0, 0, 0], "object_tag": "flag"},
+ {"id": -3, "bbox_extent": [1, 1, 1], "bbox_center": [0, 0, 0], "object_tag": "mat"},
+ {"id": 4, "bbox_extent": [1, 1], "bbox_center": [0, 0, 0], "object_tag": "rug"},
+ {"id": 5, "bbox_extent": [1, 1, 1], "bbox_center": [0, "0", 0], "object_tag": "cup"},
+ {"id": 6, "bbox_extent": [1, 1, 1], "bbox_center": [NaN, 0, 0], "object_tag": "vase"},
+ {"id": 7, "bbox_extent": [1, 1, 1], "bbox_center": [0.5, 1e10, 0.5], "object_tag": "box"},
+ {"id": 8, "bbox_extent": [1.0, -0.5, 1.0], "bbox_center": [0.0, 0.0, 0.0], "object_tag": "bin"},
+ {"id": 9, "bbox_extent": [1.0, 1.0, 1.0], "bbox_center": [0.0, 0.0, 0.0], "object_tag": ""},
+ {"id": 10, "bbox_extent": [1.0, 1.0, 1.0], "bbox_center": [0.0, 0.0, 0.0], "object_tag": "pen", "caption": 3},
+ {"id": 11, "bbox_extent": [1.0, 1.0, 1.0], "bbox_center": [0.0, 0.0, 0.0], "object_tag": "pen", "color": null},
+ {"id": 12, "bbox_extent": [1.0, 1.0, 1.0], "bbox_center": [0.0, 0.0, 0.0], "object_tag": "pen", "material": ["wood"]},
+ {"id": 13, "bbox_extent": [1.0, 1.0, 1.0], "bbox_center": [0.0, 0.0, 0.0], "object_tag": "cup"},
+ {"id": 14, "bbox_extent": [1.0, 1.0, 1.0], "bbox_center": [0.0, 0.0, 0.0], "object_tag": "cup", "score": 0.9},
+ {"id": 13, "bbox_extent": [1.0, 1.0, 1.0], "bbox_center": [0.0, 0.0, 0.0], "object_tag": "cup copy"}
+]"""
+
+
+def test_scene_issues_messages():
+    """Each kind of failure, worded as it always was, in input order."""
+    count, issues = scene_issues(EVERY_ISSUE)
+    assert count == 16
+    assert [str(e) for e in issues] == [
+        "node[0]: expected a JSON object",
+        "node[1].bbox_center: missing required field 'bbox_center'",
+        "node[2].id: id must be an integer, got True",
+        "node[3].id: id must be non-negative, got -3",
+        "node[4].bbox_extent: expected a 3-element array",
+        "node[5].bbox_center: non-numeric component '0'",
+        "node[6].bbox_center: component must be a number within 1e+09 m of 0",
+        "node[7].bbox_center: component must be a number within 1e+09 m of 0",
+        "node[8].bbox_extent: negative extent component -0.5",
+        "node[9].object_tag: object_tag must be a non-empty string",
+        "node[10].caption: caption must be a string",
+        "node[11].color: color must be a string",
+        "node[12].material: material must be a string",
+        "node[15].id: duplicate id 13",
+    ]
+
+
 # --- reference serialization -------------------------------------------------
 # The straightforward serializer: a dict per node, one json.dumps for the
 # whole list. serialize_scene, which encodes each field once per scene and
@@ -353,3 +399,24 @@ def test_serialize_scene_matches_reference(text):
         assert serialize_scene(scene, omit) == expected
         assert serialize_scene(scene, set(omit)) == expected
         assert encoded_nodes(scene, omit) == tuple(json.dumps(reference_node_to_dict(n, omit)) for n in scene.nodes)
+        assert serialized_length(scene, omit) == len(expected)
+
+
+def reference_encode_vec3(v):
+    return "[" + ", ".join(float.__repr__(round(c, 1) + 0.0) for c in v) + "]"
+
+
+# Within the bound: halves of the last kept decimal with float error, at every
+# magnitude up to 999999999.95.
+large_tie = st.integers(-(10**10) + 1, 10**10 - 1).map(lambda k: k / 10 + 0.05)
+box_number = st.one_of(coordinate, large_tie)
+
+
+@settings(max_examples=2000)
+@given(st.builds(Vec3, box_number, box_number, box_number))
+@example(Vec3(-0.0, -0.04, 0.05))
+@example(Vec3(-0.05, 0.15, 0.25))
+@example(Vec3(2.675, 5e-324, MAX_COORDINATE))
+@example(Vec3(-MAX_COORDINATE, MAX_COORDINATE - 0.05, 999999999.95))
+def test_encode_vec3_matches_reference(v):
+    assert _encode_vec3(v) == reference_encode_vec3(v)
