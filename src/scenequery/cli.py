@@ -29,7 +29,7 @@ from .evalharness import (
     generate_scene,
     run_eval,
 )
-from .oracle import OracleConfig, derive_edges
+from .oracle import OracleConfig, SpatialRelation, derive_edges
 from .prompts import BudgetInfeasible, build_prompt, length_tokens
 from .scene_model import SceneError, SceneGraph, parse_scene, scene_issues, serialized_length
 
@@ -89,7 +89,11 @@ _NODE_JSON = (
     '      "object_tag": %s\n'
     "    }"
 )
-_EDGE_JSON = "    [\n      %d,\n      %s,\n      %d\n    ]"
+# Per relation, with the relation's JSON string already written in.
+_EDGE_JSON = {
+    rel: "    [\n      %d,\n      " + encode_basestring_ascii(rel.value) + ",\n      %d\n    ]"
+    for rel in SpatialRelation
+}
 
 
 def _json_items(items: list[str]) -> str:
@@ -106,7 +110,7 @@ def _describe_json(scene: SceneGraph, edges: Optional[list]) -> str:
     if edges is not None:
         fields.append(
             '"edges": '
-            + _json_items([_EDGE_JSON % (s, encode_basestring_ascii(rel.value), o) for s, rel, o in edges])
+            + _json_items([_EDGE_JSON[rel] % (s, o) for s, rel, o in edges])
         )
     nodes = [
         _NODE_JSON % (*n.bbox_center, *n.bbox_extent, n.id, encode_basestring_ascii(n.object_tag))

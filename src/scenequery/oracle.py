@@ -123,6 +123,17 @@ class OracleAnswer:
     object_tag: str = ""
 
 
+# derive_edges snaps a raw value before comparing it only within this
+# distance of its bound; farther out, snapping cannot change the result.
+# round(x, 9) is the double nearest the decimal rounding of x. That
+# decimal is within 5e-10 of x, and as x is a double, the nearest double
+# to it is no farther: round(x, 9) lies within 1e-9 of x. Subtraction
+# rounds monotonically and the margin is a double, so a computed
+# difference `x - bound` at or beyond ±SNAP_MARGIN means x is at least
+# SNAP_MARGIN - 1e-20 from the bound: more than snapping can move it.
+SNAP_MARGIN = 1e-8
+
+
 def _snap(value: float) -> float:
     # Quantize derived quantities before threshold comparisons so that
     # float noise from a common translation cannot flip a predicate at
@@ -246,8 +257,12 @@ def derive_edges(scene: SceneGraph, cfg: OracleConfig = OracleConfig()) -> list[
     threshold, and a pair is a candidate when both of its intervals
     overlap. A pair whose centres are within the threshold, or whose
     footprints touch, is always a candidate. Each candidate pair is
-    tested once, with the tests `near` and `on_top_of` make, so the
-    result equals testing every ordered pair with them.
+    tested once, with the tests `near` and `on_top_of` make written out
+    on the boxes' numbers, so the result equals testing every ordered
+    pair with them. Like them, it snaps a distance, gap, rise or face
+    difference to 9 decimals before comparing it, but only when the
+    value lies within `SNAP_MARGIN` of its bound (the threshold, the
+    tolerance or 0); any other value decides its test unsnapped.
 
     Output is sorted by (subject id, relation name, object id) so the
     edge list is stable for a given scene.
@@ -276,8 +291,13 @@ def derive_edges(scene: SceneGraph, cfg: OracleConfig = OracleConfig()) -> list[
     # three bands.
     width = sum(hi - lo for _, _, lo, hi in intervals) / len(intervals)
     bands = [(math.floor(lo / width), math.floor(hi / width)) for _, _, lo, hi in intervals]
+    # A span: the x and y interval, the first and last y band, the box's
+    # six faces (as `_box` gives them), its centre and its id.
     spans = sorted(
-        ((*interval, *band, _box(n), n.bbox_center, n.id) for n, interval, band in zip(scene.nodes, intervals, bands)),
+        (
+            (*interval, *band, *_box(n)[:6], *n.bbox_center, n.id)
+            for n, interval, band in zip(scene.nodes, intervals, bands)
+        ),
         key=lambda span: span[0],
     )
     # Sweep in order of interval start on x. An active box leaves a band
@@ -287,25 +307,57 @@ def derive_edges(scene: SceneGraph, cfg: OracleConfig = OracleConfig()) -> list[
     # monotone in y, so two overlapping intervals share the bands from
     # the later of their first bands on, and the pair is tested in that
     # band only.
+    sqrt, low, high = math.sqrt, -SNAP_MARGIN, SNAP_MARGIN
+    on_top_of_rel, near_rel = SpatialRelation.ON_TOP_OF, SpatialRelation.NEAR
     active_in: dict[int, list] = defaultdict(list)
     edges = []
+    append = edges.append
     for span in spans:
-        lo_x, _, lo_y, hi_y, first, last, a, a_centre, a_id = span
+        lo_x, _, lo_y, hi_y, first, last, x0, x1, y0, y1, z0, z1, cx, cy, cz, a_id = span
         for band in range(first, last + 1):
             active = [s for s in active_in[band] if s[1] >= lo_x]
-            for _, _, b_lo_y, b_hi_y, b_first, _, b, b_centre, b_id in active:
+            for _, _, b_lo_y, b_hi_y, b_first, _, u0, u1, v0, v1, w0, w1, bx, by, bz, b_id in active:
                 if not (b_hi_y >= lo_y and hi_y >= b_lo_y and (band == first or band == b_first)):
                     continue
-                if _footprints_overlap(a, b):
-                    rise = _rise(a, b)
-                    if rise > 0 and _rests_on(a, b, tolerance):
-                        edges.append((a_id, SpatialRelation.ON_TOP_OF, b_id))
-                    elif rise < 0 and _rests_on(b, a, tolerance):
-                        edges.append((b_id, SpatialRelation.ON_TOP_OF, a_id))
-                # The distance is symmetric, so one test gives both edges.
-                if _distance(a_centre, b_centre) <= threshold:
-                    edges.append((a_id, SpatialRelation.NEAR, b_id))
-                    edges.append((b_id, SpatialRelation.NEAR, a_id))
+                # The tests of `_footprints_overlap`, `_rise`, `_rests_on`
+                # and `_distance` on the same floats. The footprints
+                # overlap when all four face differences are >= 0 (for
+                # finite floats, `u1 >= x0` is `u1 - x0 >= 0`). When
+                # none is below -SNAP_MARGIN, they also overlap if the
+                # least of them (snapping is monotone) snaps to 0.
+                dz = cz - bz
+                if (
+                    u1 >= x0
+                    and x1 >= u0
+                    and v1 >= y0
+                    and y1 >= v0
+                    or u1 - x0 >= low
+                    and x1 - u0 >= low
+                    and v1 - y0 >= low
+                    and y1 - v0 >= low
+                    and round(min(u1 - x0, x1 - u0, v1 - y0, y1 - v0), 9) >= 0
+                ):
+                    rise = round(dz, 9) if low <= dz <= high else dz
+                    if rise > 0:
+                        # a's bottom against b's top: abs() written out.
+                        gap = z0 - w1 if z0 >= w1 else w1 - z0
+                        off = gap - tolerance
+                        if off <= low or off <= high and round(gap, 9) <= tolerance:
+                            append((a_id, on_top_of_rel, b_id))
+                    elif rise < 0:
+                        gap = w0 - z1 if w0 >= z1 else z1 - w0
+                        off = gap - tolerance
+                        if off <= low or off <= high and round(gap, 9) <= tolerance:
+                            append((b_id, on_top_of_rel, a_id))
+                # `_distance`'s expression: `dx * dx` is not always
+                # `dx ** 2` under the C library's pow. The distance is
+                # symmetric, so one test gives both edges.
+                dx, dy = cx - bx, cy - by
+                distance = sqrt(dx**2 + dy**2 + dz**2)
+                off = distance - threshold
+                if off <= low or off <= high and round(distance, 9) <= threshold:
+                    append((a_id, near_rel, b_id))
+                    append((b_id, near_rel, a_id))
             active.append(span)
             active_in[band] = active
     # SpatialRelation members compare as their str values.

@@ -7,11 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from scenequery.oracle import (
     DECIDABLE_CATEGORIES,
+    SNAP_MARGIN,
     OracleConfig,
     QueryCategory,
     SizeOrdering,
     SpatialRelation,
     StructuredQuery,
+    _footprints_overlap,
     answer_query_deterministic,
     can_contain,
     derive_edges,
@@ -311,7 +313,11 @@ def random_scene(rng: random.Random, count: int) -> SceneGraph:
 
 
 def brute_force_edges(scene, cfg):
-    """Independent reference: direct double loop over predicates."""
+    """Independent reference: direct double loop over predicates.
+
+    It must keep calling the plain `on_top_of` and `near`: derive_edges
+    writes their tests out and snaps only near a bound, and this is what
+    checks that shortcut against the definition."""
     found = []
     for a in scene.nodes:
         for b in scene.nodes:
@@ -406,13 +412,139 @@ LARGE_THRESHOLD = (
 )
 
 
+# Float noise that only snapping decides. The cup and mug centres, at x
+# 1.2 and 2.2, are 1.0000000000000002 apart: Near at the threshold of 1.
+# The book's bottom is 0.15000000000000036 above the tray's top: OnTopOf
+# at the tolerance of 0.15.
+FLOAT_NOISE = SceneGraph(
+    nodes=(
+        box(1, (0.1, 0.1, 0.1), (1.2, 0, 0), "cup"),
+        box(2, (0.1, 0.1, 0.1), (2.2, 0, 0), "mug"),
+        box(3, (1, 1, 0.1), (5, 0, -10.0), "tray"),
+        box(4, (0.2, 0.2, 0.2), (5, 0, -9.7), "book"),
+    )
+)
+
+
 @settings(deadline=None)
 @given(boundary_scenes())
 @example(SNAPPED_ONTO_THRESHOLD)
 @example(NEAR_ONLY_ACROSS_A_BAND_EDGE)
 @example(FAR_RANGE)
 @example(LARGE_THRESHOLD)
+@example((FLOAT_NOISE, OracleConfig()))
+# The tolerance has no upper bound, and no lower one but 0.
+@example((FLOAT_NOISE, OracleConfig(vertical_gap_tolerance=1e-12)))
+@example((random_scene(random.Random(42), 20), OracleConfig(vertical_gap_tolerance=1e-12)))
+@example((random_scene(random.Random(42), 20), OracleConfig(vertical_gap_tolerance=1e300)))
 def test_derive_edges_matches_brute_force_on_boundaries(scene_cfg):
+    scene, cfg = scene_cfg
+    assert derive_edges(scene, cfg) == brute_force_edges(scene, cfg)
+
+
+def test_float_noise_is_decided_by_snapping():
+    cup, mug, tray, book = FLOAT_NOISE.nodes
+    assert mug.bbox_center.x - cup.bbox_center.x > 1.0
+    assert (book.bbox_center.z - 0.1) - (tray.bbox_center.z + 0.05) > 0.15
+    near_edge, on_top = SpatialRelation.NEAR, SpatialRelation.ON_TOP_OF
+    expected = [(1, near_edge, 2), (2, near_edge, 1), (3, near_edge, 4), (4, near_edge, 3), (4, on_top, 3)]
+    assert derive_edges(FLOAT_NOISE, OracleConfig()) == expected
+
+
+# derive_edges compares a raw value with its bound and snaps it only
+# within SNAP_MARGIN of the bound. These restate its comparisons; each
+# must decide as the snapped value does.
+def sweep_within(x, bound):
+    """The sweep's `round(x, 9) <= bound`, for a distance or a gap."""
+    off = x - bound
+    return off <= -SNAP_MARGIN or off <= SNAP_MARGIN and round(x, 9) <= bound
+
+
+def sweep_rise(d):
+    """The sweep's rise: d itself, unless it lies within the margin of 0."""
+    return round(d, 9) if -SNAP_MARGIN <= d <= SNAP_MARGIN else d
+
+
+def sweep_footprints(ds):
+    """The sweep's footprint test on the four face differences."""
+    return all(d >= 0 for d in ds) or all(d >= -SNAP_MARGIN for d in ds) and round(min(ds), 9) >= 0
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+# Every difference of box numbers within the scene bound is below 2e9 in
+# size; tenths of a snapping step either side of a bound are where the
+# snapped and the raw comparison can part.
+snap_bound = st.one_of(st.sampled_from([1.0, 0.15, 1e-12, 1e9, 1e300]), st.floats(1e-12, 1e9))
+difference = st.one_of(st.integers(-40, 40).map(lambda k: k * 1e-10), st.floats(-2e9, 2e9))
+
+
+@st.composite
+def value_and_bound(draw):
+    bound = draw(snap_bound)
+    return draw(st.one_of(st.integers(-40, 40).map(lambda k: bound + k * 1e-10), st.floats(0, 2e9))), bound
+
+
+@given(value_and_bound())
+# Accepted unsnapped, but the value snaps to 1.000000001.
+@example((1.0000000006, 1.0000000006))
+# Refused unsnapped, but the value snaps to 1.0.
+@example((1.0000000000000002, 1.0))
+def test_sweep_bound_test_decides_as_snapped(x_bound):
+    x, bound = x_bound
+    assert sweep_within(x, bound) == (round(x, 9) <= bound)
+
+
+@given(difference)
+@example(3e-10)
+@example(-5e-10)
+def test_sweep_rise_has_the_snapped_sign(d):
+    assert sign(sweep_rise(d)) == sign(round(d, 9))
+
+
+@given(st.tuples(difference, difference, difference, difference))
+@example((1.0, -3e-10, 2.0, 0.0))
+def test_sweep_footprint_test_decides_as_snapped(ds):
+    d1, d2, d3, d4 = ds
+    # Boxes whose four face differences, as _footprints_overlap takes
+    # them, are exactly ds.
+    a = (0.0, d2, 0.0, d4, 0.0, 0.0, 0.0)
+    b = (0.0, d1, 0.0, d3, 0.0, 0.0, 0.0)
+    assert sweep_footprints(ds) == _footprints_overlap(a, b)
+
+
+@st.composite
+def pairs_beside_a_bound(draw):
+    """(scene, cfg): two boxes whose distance, gap, rise or x face
+    difference lies k * 1e-10 from its bound, k in -40..40, moved by up
+    to 1e4 on each axis."""
+    threshold = draw(st.sampled_from([1.0, 0.15, 0.3]))
+    tolerance = draw(st.sampled_from([0.15, 0.05]))
+    k = draw(st.integers(-40, 40)) * 1e-10
+    tray, flat = box(1, (1, 1, 0.1), (0, 0, 0)), box(1, (1, 1, 0), (0, 0, 0))
+    lower, upper = draw(
+        st.sampled_from(
+            [
+                (tray, box(2, (0.01, 0.01, 0.01), (threshold + k, 0, 0))),
+                # The cube's bottom over the tray's top.
+                (tray, box(2, (0.2, 0.2, 0.2), (0, 0, 0.15 + tolerance + k))),
+                # Flat boxes rest on each other at any tolerance.
+                (flat, box(2, (1, 1, 0), (0, 0, k))),
+                # The cube on the tray, its x face beside the tray's.
+                (tray, box(2, (0.2, 0.2, 0.2), (0.6 + k, 0, 0.15))),
+            ]
+        )
+    )
+    shift = draw(st.tuples(*[st.floats(-1e4, 1e4)] * 3))
+    scene = translated(SceneGraph(nodes=(lower, upper)), Vec3(*shift))
+    return scene, OracleConfig(near_threshold=threshold, vertical_gap_tolerance=tolerance)
+
+
+@settings(deadline=None)
+@given(pairs_beside_a_bound())
+def test_derive_edges_matches_brute_force_beside_each_bound(scene_cfg):
     scene, cfg = scene_cfg
     assert derive_edges(scene, cfg) == brute_force_edges(scene, cfg)
 
