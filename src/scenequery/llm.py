@@ -95,7 +95,9 @@ class HttpBackend:
 
     Connection errors, 5xx and 429 are retried up to `max_retries` times
     with exponential backoff; after a 429 the wait is at least the
-    response's Retry-After seconds. Safe to call from several threads:
+    response's Retry-After seconds. No wait is longer than `timeout`: a
+    Retry-After past it ends the retries at once with TransportError.
+    Safe to call from several threads:
     each thread gets its own `requests.Session`, unless a `session` is
     injected, which is then used as given by every thread. `requests` is
     imported on the first call, so the other backends never load it."""
@@ -143,9 +145,11 @@ class HttpBackend:
 
         last_error: Exception | None = None
         retry_after = 0.0
+        backoff = min(0.5, self.cfg.timeout)
         for attempt in range(self.cfg.max_retries + 1):
             if attempt:
-                self._sleep(max(0.5 * 2 ** (attempt - 1), retry_after))
+                self._sleep(max(backoff, retry_after))
+                backoff = min(2 * backoff, self.cfg.timeout)
                 retry_after = 0.0
             try:
                 resp = self.session.post(url, json=payload, headers=headers, timeout=self.cfg.timeout)
@@ -158,6 +162,11 @@ class HttpBackend:
             if resp.status_code == 429:
                 last_error = TransportError("rate limited (429)")
                 retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
+                if retry_after > self.cfg.timeout:
+                    raise TransportError(
+                        f"rate limited (429): the endpoint asks to wait {retry_after:g} s,"
+                        f" longer than the {self.cfg.timeout:g} s timeout"
+                    )
                 continue
             if resp.status_code in (401, 403):
                 raise AuthMissingError(f"endpoint rejected credentials ({resp.status_code})")

@@ -443,6 +443,16 @@ def object_ref(node: ObjectNode) -> str:
 _ID_PATTERN = re.compile(r"\(?\s*id\s*[:=]?\s*(\d+)\s*\)?", re.IGNORECASE)
 
 
+def _id_value(digits: str) -> int:
+    """The id that `_ID_PATTERN`'s digits name. Digits past the int/str
+    conversion limit name no node, since parse_scene rejects JSON with such
+    a number: they read as -1, an id no node has."""
+    try:
+        return int(digits)
+    except ValueError:
+        return -1
+
+
 def interpret_query(scene: SceneGraph, text: str) -> StructuredQuery:
     """Best-effort mapping of a natural-language query onto a structured one.
 
@@ -451,7 +461,7 @@ def interpret_query(scene: SceneGraph, text: str) -> StructuredQuery:
     Category comes from keyword cues; anything unrecognized is Freeform.
     """
     lowered = text.lower()
-    ids = [int(m) for m in _ID_PATTERN.findall(text)]
+    ids = [_id_value(m) for m in _ID_PATTERN.findall(text)]
     if len(ids) < 2:
         mentioned = []
         for node in sorted(scene.nodes, key=lambda n: -len(n.object_tag)):

@@ -7,17 +7,20 @@ in-context examples: the packaged demonstrations in examples.json, in
 file order. When the serialized scene pushes the estimate past the
 budget, the scene is compacted step by step: captions go first, then
 color/material, then numeric precision, and finally whole nodes in
-ascending lexical relevance to the query.
+ascending lexical relevance to the query. A node whose tag occurs in the
+query (case-insensitive) is never pruned.
 
 The numeric step (round_numerics) is recorded to keep the canonical
 action order, but changes no byte: serialization already rounds box
 numbers to one decimal. Each node is encoded once per scene, on the
 scene's first serialization, and the encodings are shared by every later
 prompt on that scene: by all of `run_eval`'s queries on it, and by the
-full, caption-less and attribute-less forms that compaction tries.
-Compaction fit-checks each form by the length the scene keeps with its
-encodings, so only the form that is sent becomes node JSON. Pruning
-tracks that form's length by subtraction, so it never re-serializes.
+three forms compaction tries (scene_model.FORMS): the full scene, the
+scene without captions, and the scene without captions, colors and
+materials. Compaction fit-checks each form by the length the scene keeps
+with its encodings, so only the form that is sent becomes node JSON.
+Pruning tracks that form's length by subtraction, so it never
+re-serializes.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress
 
-from .scene_model import ObjectNode, SceneGraph, encoded_nodes, serialized_length
+from .scene_model import FORMS, ObjectNode, SceneGraph, encoded_nodes, serialize_scene, serialized_length
 
 DEFAULT_TOKEN_BUDGET = 16000
 
@@ -66,30 +70,22 @@ def length_tokens(length: int) -> int:
     return math.ceil(length / 4)
 
 
-def load_template() -> str:
-    """The packaged template, placeholders unfilled."""
-    return resources.files("scenequery.data").joinpath("system_prompt.txt").read_text(encoding="utf-8")
-
-
 @functools.cache
 def template_parts() -> tuple[str, str, str]:
     """(head, middle, tail): a prompt is head + scene JSON + middle + query
     + tail. The demonstrations are already in the middle, in place of
     {examples}."""
-    raw = json.loads(resources.files("scenequery.data").joinpath("examples.json").read_text(encoding="utf-8"))
+    data = resources.files("scenequery.data")
+    raw = json.loads(data.joinpath("examples.json").read_text(encoding="utf-8"))
     examples = "\n\n".join(f'QUESTION = "{e["question"]}"\n\nANSWER = "{e["answer"]}"' for e in raw)
-    head, rest = load_template().split("{scenegraph}")
+    head, rest = data.joinpath("system_prompt.txt").read_text(encoding="utf-8").split("{scenegraph}")
     middle, tail = rest.split("{input}")
     return head, middle.replace("{examples}", examples), tail
 
 
 # The scene forms compaction tries before pruning, in order: the actions
 # that give each form and the node fields it leaves out.
-_FORMS = (
-    ((), frozenset()),
-    ((ACTION_DROP_CAPTIONS,), frozenset({"caption"})),
-    ((ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES), frozenset({"caption", "color", "material"})),
-)
+_FORMS = tuple(zip(((), (ACTION_DROP_CAPTIONS,), (ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES)), FORMS))
 
 _WORD = re.compile(r"[a-z0-9]+")
 
@@ -100,20 +96,20 @@ def _relevance(node: ObjectNode, query_words: set[str]) -> int:
 
 def compact_scene(
     scene: SceneGraph, query: str, budget: int, template_overhead: int
-) -> tuple[SceneGraph, list[str], str]:
+) -> tuple[tuple[int, ...], list[str], str]:
     """Shrink the scene until template_overhead + scene estimate fits budget.
 
-    Returns the kept scene, the applied actions and the kept scene's JSON
-    in the form they give. Reductions are applied in a fixed order
-    and each applied action is recorded. Nodes whose tag occurs verbatim
-    in the query are never pruned; if the budget still cannot be met once
-    everything else is gone, BudgetInfeasible reports the overflow.
+    Returns the ids of the kept nodes in node order, the applied actions
+    and the kept nodes' JSON in the form they give. Reductions are applied
+    in a fixed order and each applied action is recorded. A node whose tag
+    occurs in the query (case-insensitive) is never pruned; if the budget
+    still cannot be met once everything else is gone, BudgetInfeasible
+    reports the overflow.
 
-    Each form is fit-checked by its serialized length, which the scene's
-    serialization cache keeps with the node items, so node JSON is built
-    and joined only for the form that is sent. Pruning keeps the length of
-    the kept nodes up to date by subtraction, so a fit check costs O(1)
-    however many nodes are pruned.
+    Each form is fit-checked by its serialized length, which the scene
+    keeps with its encoding, so node JSON is built only for the form that
+    is sent. Pruning keeps the length of the kept nodes up to date by
+    subtraction, so a fit check costs O(1) however many nodes are pruned.
     """
 
     def overflow(scene_length: int) -> int:
@@ -123,40 +119,39 @@ def compact_scene(
     if budget <= template_overhead:
         raise BudgetInfeasible(template_overhead - budget + 1)
 
+    nodes = scene.nodes
     for actions, omit in _FORMS:
         length = serialized_length(scene, omit)
         if overflow(length) <= 0:
-            return scene, list(actions), "[" + ", ".join(encoded_nodes(scene, omit)) + "]"
+            return tuple(n.id for n in nodes), list(actions), serialize_scene(scene, omit)
 
     # Prune from the last form. Recorded for the canonical order;
     # serialization already rounds to one decimal, so this step changes no
     # byte and needs no new check.
     actions = [*actions, ACTION_ROUND_NUMERICS]
-    by_id = dict(zip((n.id for n in scene.nodes), encoded_nodes(scene, omit)))
-    pruned: set[int] = set()
+    node_json = encoded_nodes(scene, omit)
     lowered = query.lower()
     query_words = set(_WORD.findall(lowered))
-    protected = {n.id for n in scene.nodes if n.object_tag.lower() in lowered}
     # Least relevant first; ties pruned from the back of the node list.
     prunable = sorted(
-        (n for n in scene.nodes if n.id not in protected),
-        key=lambda n: (_relevance(n, query_words), -n.id),
+        (i for i, n in enumerate(nodes) if n.object_tag.lower() not in lowered),
+        key=lambda i: (_relevance(nodes[i], query_words), -nodes[i].id),
     )
-    if not protected and prunable:
+    if len(prunable) == len(nodes):
         # Never empty the scene entirely; keep the most relevant node.
         prunable = prunable[:-1]
-    for victim in prunable:
-        pruned.add(victim.id)
+    kept = [True] * len(nodes)
+    for i in prunable:
+        kept[i] = False
         # A node always remains, so each prune also removes one ", ".
-        length -= len(by_id[victim.id]) + 2
-        actions.append(f"{ACTION_PRUNE_NODE}:{victim.id}")
+        length -= len(node_json[i]) + 2
+        actions.append(f"{ACTION_PRUNE_NODE}:{nodes[i].id}")
         if overflow(length) <= 0:
             break
     else:
         raise BudgetInfeasible(overflow(length))
 
-    kept = tuple(n for n in scene.nodes if n.id not in pruned)
-    return SceneGraph(nodes=kept), actions, "[" + ", ".join(by_id[n.id] for n in kept) + "]"
+    return tuple(n.id for n in compress(nodes, kept)), actions, "[" + ", ".join(compress(node_json, kept)) + "]"
 
 
 def build_prompt(scene: SceneGraph, query: str, budget: int = DEFAULT_TOKEN_BUDGET) -> PromptBundle:
@@ -168,11 +163,11 @@ def build_prompt(scene: SceneGraph, query: str, budget: int = DEFAULT_TOKEN_BUDG
     head, middle, tail = template_parts()
     overhead = length_tokens(len(head) + len(middle) + len(query) + len(tail))
 
-    scene, actions, scene_json = compact_scene(scene, query, budget, overhead)
+    kept_ids, actions, scene_json = compact_scene(scene, query, budget, overhead)
     system_text = head + scene_json + middle + query + tail
     return PromptBundle(
         system_text=system_text,
         token_estimate=estimate_tokens(system_text),
-        included_node_ids=tuple(n.id for n in scene.nodes),
+        included_node_ids=kept_ids,
         compaction_report=tuple(actions),
     )

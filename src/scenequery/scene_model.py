@@ -8,17 +8,18 @@ derived by the oracle, never stored in the file format.
 `parse_scene` checks every node once and keeps each box number within
 MAX_COORDINATE of 0; the writer relies on that bound to write box numbers
 at one decimal with one format call. `serialize_scene` writes the bytes
-json.dumps would. A scene encodes each node once, on its first
-serialization, and keeps the encoded items, their lengths and each omit
-set's node JSON for every later call, so the length of any form of the
-scene is known without building it.
+json.dumps would, in one of the three forms a prompt sends (FORMS): the
+full scene, the scene without captions, and the scene without captions,
+colors and materials. A scene encodes each node once, on its first
+serialization, into the pieces those forms are joined from, and keeps the
+pieces, each form's length and each form's node JSON for every later
+call, so the length of a form is known without building it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, NamedTuple
 
@@ -27,6 +28,9 @@ NODE_KEYS = ("id", "bbox_extent", "bbox_center", "object_tag", "caption", "color
 REQUIRED_KEYS = ("id", "bbox_extent", "bbox_center", "object_tag")
 OPTIONAL_TEXT_KEYS = ("caption", "color", "material")
 _NODE_KEY_SET = frozenset(NODE_KEYS)
+# The node fields left out of each form of the scene a prompt sends: the
+# full scene, the caption-less one and the attribute-less one.
+FORMS = (frozenset(), frozenset({"caption"}), frozenset(OPTIONAL_TEXT_KEYS))
 # The largest magnitude of a box number, in metres.
 MAX_COORDINATE = 1e9
 
@@ -95,13 +99,12 @@ class SceneGraph:
                     raise SceneError(f"duplicate node id {n.id}")
                 seen.add(n.id)
         object.__setattr__(self, "_by_id", by_id)
-        # The serialization cache, filled by `encoded_nodes` and
-        # `serialized_length`: None -> each node's encoded items and the
-        # scene's serialized length per omit set, each omit set -> each
-        # node's JSON object. No dataclass field, so equality, hash and repr
-        # leave it out. An entry is a pure function of the immutable nodes
-        # and its key, so threads that race to fill one store equal values.
-        object.__setattr__(self, "_json_by_omit", {})
+        # The serialization cache, an _Encoding set on first use by
+        # `encoded_nodes` and `serialized_length`. No dataclass field, so
+        # equality, hash and repr leave it out. It and each form it builds
+        # are pure functions of the immutable nodes, so threads that race
+        # to fill one store equal values.
+        object.__setattr__(self, "_encoding", None)
 
     def node(self, node_id: int) -> ObjectNode:
         try:
@@ -218,21 +221,20 @@ def parse_scene(json_text: str) -> SceneGraph:
     return SceneGraph(nodes=tuple(nodes))
 
 
-def _encode_fields(node: ObjectNode) -> tuple[str, ...]:
-    """The node's items, each encoded once as json.dumps writes it inside
-    the node's object: '"key": value' for each of NODE_KEYS in order, then
-    for each of its extras in order."""
-    core = (
-        '"id": ' + str(node.id),
-        '"bbox_extent": ' + _encode_vec3(node.bbox_extent),
-        '"bbox_center": ' + _encode_vec3(node.bbox_center),
-        '"object_tag": ' + encode_basestring_ascii(node.object_tag),
-        '"caption": ' + encode_basestring_ascii(node.caption),
-        '"color": ' + encode_basestring_ascii(node.color),
-        '"material": ' + encode_basestring_ascii(node.material),
+def _encode_node(node: ObjectNode) -> tuple[str, str, str, str]:
+    """The node's JSON object as json.dumps writes it, in four pieces, each
+    encoded once: the id, box and tag items; ', "caption": …';
+    ', "color": …, "material": …'; and ', ' + each extra item, in order.
+    A form's object is "{" + its pieces + "}"."""
+    e = encode_basestring_ascii
+    return (
+        '"id": %d, "bbox_extent": %s, "bbox_center": %s, "object_tag": %s'
+        % (node.id, _encode_vec3(node.bbox_extent), _encode_vec3(node.bbox_center), e(node.object_tag)),
+        ', "caption": ' + e(node.caption),
+        ', "color": ' + e(node.color) + ', "material": ' + e(node.material),
+        # json.dumps of a one-item dict is "{" + that item + "}".
+        "".join([", " + json.dumps({key: value})[1:-1] for key, value in node.extra]),
     )
-    # json.dumps of a one-item dict is "{" + that item + "}".
-    return core + tuple(json.dumps({key: value})[1:-1] for key, value in node.extra)
 
 
 def _encode_vec3(v: Vec3) -> str:
@@ -245,72 +247,70 @@ def _encode_vec3(v: Vec3) -> str:
     return ("[%.1f, %.1f, %.1f]" % v).replace("-0.0", "0.0")
 
 
-def _node_json(fields: tuple[str, ...], omit: frozenset[str]) -> str:
-    # An extra pairs with key None, so it is never omitted.
-    return "{" + ", ".join([item for key, item in zip_longest(NODE_KEYS, fields) if key not in omit]) + "}"
+class _Encoding:
+    """A scene's nodes, each encoded once by `_encode_node`; the length of
+    each form's array; and each form's node objects, built on first use."""
 
-
-class _Items:
-    """A scene's encoded items and what they add to its JSON. In a node's
-    object each item adds its length + 2: a ", " after all but the last,
-    whose 2 pay for the braces. In the array each node adds its length + 2
-    the same way."""
-
-    __slots__ = ("fields", "key_lengths", "other_length", "lengths")
+    __slots__ = ("pieces", "lengths", "forms")
 
     def __init__(self, nodes: tuple[ObjectNode, ...]):
-        # Each node's items, from _encode_fields.
-        self.fields = fields = tuple(_encode_fields(n) for n in nodes)
-        count = len(fields)
-        # For each of NODE_KEYS, the sum over nodes of its item's length + 2.
-        self.key_lengths = tuple(sum(map(len, column)) + 2 * count for column in zip(*fields))
-        # The sum over extras of length + 2, plus 2 per node.
-        self.other_length = sum(len(item) + 2 for f in fields for item in f[len(NODE_KEYS) :]) + 2 * count
-        # omit set -> serialized_length, filled on first use.
-        self.lengths: dict[frozenset[str], int] = {}
+        self.pieces = pieces = [_encode_node(n) for n in nodes]
+        # In the array each object adds its length + 2: a ", " after all
+        # but the last, whose 2 pay for the brackets. An empty array is "[]".
+        core = sum(len(c) + len(x) + 4 for c, _, _, x in pieces)
+        caption = sum(len(p[1]) for p in pieces)
+        attributes = sum(len(p[2]) for p in pieces)
+        self.lengths = tuple(max(n, 2) for n in (core + caption + attributes, core + attributes, core))
+        self.forms: list[tuple[str, ...] | None] = [None] * len(FORMS)
 
 
-def _items(scene: SceneGraph) -> _Items:
-    """The scene's encoded items, each node encoded once per scene."""
-    cache = scene._json_by_omit
-    items = cache.get(None)
-    if items is None:
-        items = cache[None] = _Items(scene.nodes)
-    return items
+def _form_nodes(pieces: list[tuple[str, str, str, str]], form: int) -> tuple[str, ...]:
+    """Each node's object in FORMS[form]."""
+    if form == 0:
+        return tuple(["{" + c + caption + a + x + "}" for c, caption, a, x in pieces])
+    if form == 1:
+        return tuple(["{" + c + a + x + "}" for c, _, a, x in pieces])
+    return tuple(["{" + c + x + "}" for c, _, _, x in pieces])
+
+
+def _encoding_and_form(scene: SceneGraph, omit: Iterable[str]) -> tuple[_Encoding, int]:
+    """The scene's encoding, built on first use, and the index in FORMS of
+    `omit`."""
+    omit = frozenset(omit)
+    try:
+        form = FORMS.index(omit)
+    except ValueError:
+        raise ValueError(f"omit must be one of FORMS, {[sorted(f) for f in FORMS]}; got {sorted(omit)}") from None
+    encoding = scene._encoding
+    if encoding is None:
+        encoding = _Encoding(scene.nodes)
+        object.__setattr__(scene, "_encoding", encoding)
+    return encoding, form
 
 
 def encoded_nodes(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> tuple[str, ...]:
-    """Each node's JSON object without the fields named in `omit`, in node
-    order: the items of serialize_scene's array. Each node is encoded once
-    per scene, and each omit set is joined once per scene."""
-    omit = frozenset(omit)
-    cache = scene._json_by_omit
-    out = cache.get(omit)
+    """Each node's JSON object in the form that leaves out the fields in
+    `omit`, one of FORMS, in node order: the items of serialize_scene's
+    array. Each node is encoded once per scene, and each form is built
+    once per scene."""
+    encoding, form = _encoding_and_form(scene, omit)
+    out = encoding.forms[form]
     if out is None:
-        out = cache[omit] = tuple(_node_json(f, omit) for f in _items(scene).fields)
+        out = encoding.forms[form] = _form_nodes(encoding.pieces, form)
     return out
 
 
 def serialized_length(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> int:
-    """len(serialize_scene(scene, omit)), from lengths kept with the scene's
-    encoded items: no node's JSON is built. Computed once per scene and
-    omit set."""
-    omit = frozenset(omit)
-    items = _items(scene)
-    known = items.lengths.get(omit)
-    if known is None:
-        length = items.other_length + sum(n for key, n in zip(NODE_KEYS, items.key_lengths) if key not in omit)
-        if omit.issuperset(NODE_KEYS):
-            # A node left with no item is written "{}".
-            length += 2 * sum(len(f) == len(NODE_KEYS) for f in items.fields)
-        # An empty array is "[]".
-        known = items.lengths[omit] = max(length, 2)
-    return known
+    """len(serialize_scene(scene, omit)) for `omit` one of FORMS, kept with
+    the scene's encoding: no node's JSON is built."""
+    encoding, form = _encoding_and_form(scene, omit)
+    return encoding.lengths[form]
 
 
 def serialize_scene(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> str:
-    """The canonical JSON array without the fields named in `omit`: the bytes
-    json.dumps writes for the node objects, box numbers at one decimal."""
+    """The canonical JSON array in the form that leaves out the fields in
+    `omit`, one of FORMS: the bytes json.dumps writes for the node objects,
+    box numbers at one decimal."""
     return "[" + ", ".join(encoded_nodes(scene, omit)) + "]"
 
 

@@ -277,6 +277,18 @@ class TestAsk:
         out = capsys.readouterr().out
         assert "Yes" in out
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_overlong_id_answered_as_an_absent_id(self, couch_pillow_file, capsys, fmt):
+        query = "Is the pillow {} on top of the white couch?"
+        absent, overlong = "(id: 99)", "(id: " + "9" * 5000 + ")"
+        assert main(fmt + ["ask", couch_pillow_file, query.format(absent)]) == 0
+        expected = capsys.readouterr()
+        assert main(fmt + ["ask", couch_pillow_file, query.format(overlong)]) == 0
+        got = capsys.readouterr()
+        assert "not in the scene" in expected.out
+        assert got.out == expected.out.replace(absent, overlong)
+        assert got.err == expected.err == ""
+
     def test_mock_garbage_exits_3(self, couch_pillow_file, tmp_path):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(["garbage with no steps"]), encoding="utf-8")
@@ -375,6 +387,21 @@ class TestAsk:
         monkeypatch.setattr("requests.Session", Session)
         assert main(["ask", couch_pillow_file, "where is the pillow?", "--backend", "live"]) == 2
         assert capsys.readouterr().err.startswith("error: unexpected response shape")
+
+    def test_live_huge_retry_after_exits_2(self, couch_pillow_file, monkeypatch, capsys):
+        class RateLimited:
+            status_code, text, headers = 429, "", {"Retry-After": "1e308"}
+
+        class Session:
+            def post(self, *args, **kwargs):
+                return RateLimited()
+
+        monkeypatch.setenv("SCENEGPT_API_KEY", "k")
+        monkeypatch.setattr("requests.Session", Session)
+        assert main(["ask", couch_pillow_file, "where is the pillow?", "--backend", "live"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate limited (429): the endpoint asks to wait 1e+308 s")
+        assert err.count("\n") == 1
 
     def test_infeasible_budget_exits_1(self, couch_pillow_file, capsys):
         assert main(["--budget", "10", "ask", couch_pillow_file, "where is the pillow?"]) == 1

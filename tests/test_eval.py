@@ -328,13 +328,13 @@ class TestSceneEncodedOnce:
     @pytest.fixture
     def encodings(self, monkeypatch):
         counts = collections.Counter()
-        original = scene_model._encode_fields
+        original = scene_model._encode_node
 
         def counting(node):
             counts[node.id] += 1
             return original(node)
 
-        monkeypatch.setattr(scene_model, "_encode_fields", counting)
+        monkeypatch.setattr(scene_model, "_encode_node", counting)
         return counts
 
     def test_run_eval_over_one_scene(self, encodings):
@@ -359,17 +359,17 @@ class TestSceneEncodedOnce:
         # Forms are fit-checked by length: only the form sent, the
         # attribute-less one when pruning, builds node JSON.
         omits = collections.Counter()
-        original = scene_model._node_json
+        original = scene_model._form_nodes
 
-        def counting(fields, omit):
-            omits[omit] += 1
-            return original(fields, omit)
+        def counting(pieces, form):
+            omits[scene_model.FORMS[form]] += 1
+            return original(pieces, form)
 
-        monkeypatch.setattr(scene_model, "_node_json", counting)
+        monkeypatch.setattr(scene_model, "_form_nodes", counting)
         scene = generate_scene(SceneRecipe(seed=0, node_count=150)).scene
         bundle = prompts.build_prompt(scene, f"Where is the {scene.nodes[0].object_tag}?", budget=budget)
         assert any(a.startswith(prompts.ACTION_PRUNE_NODE) for a in bundle.compaction_report) == (budget == 3000)
-        assert omits == {sent: len(scene.nodes)}
+        assert omits == {sent: 1}
 
     def test_describe_and_validate_encode_nothing(self, encodings, tmp_path, capsys):
         path = tmp_path / "scene.json"

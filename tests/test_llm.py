@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -140,6 +141,25 @@ class TestHttpBackend:
             backend.complete("s", "u")
         assert len(session.requests) == 3
         assert sleeps == [1.0, 1.0]
+
+    @pytest.mark.parametrize("wait", ["1e308", "1e9"])
+    def test_retry_after_past_timeout_ends_retries(self, wait):
+        session = FakeSession([FakeResponse(429, headers={"Retry-After": wait}), ok_response()])
+        sleeps = []
+        backend = HttpBackend(LlmConfig(base_url="http://x"), api_key="k", session=session, sleep=sleeps.append)
+        with pytest.raises(TransportError, match=re.escape(f"wait {float(wait):g} s, longer than the 60 s timeout")):
+            backend.complete("s", "u")
+        assert len(session.requests) == 1
+        assert sleeps == []
+
+    def test_backoff_capped_at_timeout(self):
+        responses = [FakeResponse(500)] * 4 + [FakeResponse(429, headers={"Retry-After": "1.5"}), ok_response()]
+        session = FakeSession(responses)
+        sleeps = []
+        cfg = LlmConfig(base_url="http://x", timeout=1.5, max_retries=5)
+        backend = HttpBackend(cfg, api_key="k", session=session, sleep=sleeps.append)
+        assert backend.complete("s", "u") == "hello"
+        assert sleeps == [0.5, 1.0, 1.5, 1.5, 1.5]
 
     def test_context_overflow_not_retried(self):
         session = FakeSession([FakeResponse(400, text="maximum context length exceeded")])

@@ -230,6 +230,18 @@ class TestInterpretQuery:
         q = interpret_query(couch_pillow_scene, "describe the room")
         assert q.category is QueryCategory.FREEFORM
 
+    def test_overlong_id_reads_as_an_absent_id(self, couch_pillow_scene):
+        # More digits than int() converts, so no parsed scene has this id:
+        # the query is read as one naming an id not in the scene.
+        query = "Is the pillow (id: {}) on top of the white couch?"
+        absent = interpret_query(couch_pillow_scene, query.format(99))
+        overlong = interpret_query(couch_pillow_scene, query.format("9" * 5000))
+        assert overlong.category is absent.category is QueryCategory.ON_TOP_OF
+        assert not couch_pillow_scene.has_node(overlong.subject_id)
+        assert overlong.object_id == absent.object_id == 27
+        answers = [answer_query_deterministic(couch_pillow_scene, q) for q in (overlong, absent)]
+        assert answers[0] == answers[1] and not answers[0].supported
+
 
 # --- properties -----------------------------------------------------------
 

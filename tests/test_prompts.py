@@ -16,7 +16,6 @@ from scenequery.prompts import (
     build_prompt,
     compact_scene,
     estimate_tokens,
-    load_template,
     template_parts,
 )
 from scenequery.scene_model import (
@@ -46,7 +45,12 @@ class TestEstimateTokens:
 
 
 # The packaged demonstrations, read from the file rather than through the program.
-EXAMPLES_JSON = Path(__file__).resolve().parents[1] / "src" / "scenequery" / "data" / "examples.json"
+DATA = Path(__file__).resolve().parents[1] / "src" / "scenequery" / "data"
+EXAMPLES_JSON = DATA / "examples.json"
+
+
+def packaged_template():
+    return (DATA / "system_prompt.txt").read_text(encoding="utf-8")
 
 
 def packaged_examples():
@@ -64,7 +68,7 @@ def reference_render(scene_json, query):
     """The template filled in one pass: text put in for a placeholder is
     never searched for placeholders itself."""
     values = dict(zip(PLACEHOLDERS, (scene_json, reference_examples_text(), query)))
-    return re.sub("|".join(map(re.escape, PLACEHOLDERS)), lambda m: values[m.group()], load_template())
+    return re.sub("|".join(map(re.escape, PLACEHOLDERS)), lambda m: values[m.group()], packaged_template())
 
 
 def reference_omit(actions):
@@ -174,15 +178,16 @@ class TestBuildPrompt:
 class TestCompactScene:
     def test_noop_when_fitting(self, sample_scene_json):
         scene = parse_scene(sample_scene_json)
-        compacted, actions, _ = compact_scene(scene, "q", budget=16000, template_overhead=100)
-        assert compacted == scene
+        kept, actions, scene_json = compact_scene(scene, "q", budget=16000, template_overhead=100)
+        assert kept == tuple(n.id for n in scene.nodes)
         assert actions == []
+        assert scene_json == serialize_scene(scene)
 
     def test_action_order(self):
         scene = big_scene()
         overhead = 300
         budget = overhead + estimate_tokens(serialize_scene(scene)) // 4
-        compacted, actions, _ = compact_scene(scene, "where is the red vase", budget, overhead)
+        _, actions, _ = compact_scene(scene, "where is the red vase", budget, overhead)
         canonical = [ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES, ACTION_ROUND_NUMERICS]
         non_prune = [a for a in actions if not a.startswith(ACTION_PRUNE_NODE)]
         assert non_prune == canonical[: len(non_prune)]
@@ -195,8 +200,19 @@ class TestCompactScene:
         overhead = 300
         # Tight budget: forces deep pruning but the vase must survive.
         budget = overhead + 200
-        compacted, actions, _ = compact_scene(scene, "where is the red vase", budget, overhead)
-        assert any(n.object_tag == "vase" for n in compacted.nodes)
+        kept, actions, _ = compact_scene(scene, "where is the red vase", budget, overhead)
+        assert any(scene.node(i).object_tag == "vase" for i in kept)
+
+    def test_kept_ids_are_the_prompts_in_node_order(self):
+        # Ids descending along the node list, so node order is not id order.
+        scene = SceneGraph(nodes=big_scene(node_count=40).nodes[::-1])
+        query = "where is the red vase"
+        overhead = overhead_for(query)
+        budget = overhead + 600
+        kept, actions, _ = compact_scene(scene, query, budget, overhead)
+        assert any(a.startswith(ACTION_PRUNE_NODE) for a in actions)
+        assert kept == build_prompt(scene, query, budget).included_node_ids
+        assert list(kept) == [n.id for n in scene.nodes if n.id in kept]
 
     def test_monotone_token_estimate(self):
         scene = big_scene(node_count=40)
@@ -227,7 +243,7 @@ class TestCompactScene:
 
 
 def test_template_asset_loads():
-    template = load_template()
+    template = packaged_template()
     # Each placeholder once, in this order: the template splits around them.
     assert [template.count(p) for p in PLACEHOLDERS] == [1, 1, 1]
     assert sorted(PLACEHOLDERS, key=template.index) == list(PLACEHOLDERS)
@@ -416,7 +432,7 @@ def test_build_prompt_matches_reference(data, scene, stop, pick):
     except BudgetInfeasible:
         return
     reference_kept, reference_actions = reference_compact_scene(scene, query, budget, overhead)
-    assert [n.id for n in kept.nodes] == [n.id for n in reference_kept.nodes]
+    assert list(kept) == [n.id for n in reference_kept.nodes]
     assert actions == reference_actions
     assert scene_json == serialize_scene(reference_kept, reference_omit(reference_actions))
 
