@@ -3,7 +3,7 @@
 Exit codes are a stable contract:
   0  success
   1  scene validation failure / infeasible budget / ungrounded answer
-  2  I/O, network or auth failure
+  2  I/O, network or auth failure, or stdout closed early (a pipe into `head`)
   3  response parse failure
 """
 
@@ -397,9 +397,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        # Output still buffered meets a closed pipe here, not at exit.
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`). The interpreter flushes stdout
+        # once more at exit; with stdout on os.devnull that flush succeeds
+        # and prints no "Exception ignored" line.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ in-context examples: the packaged demonstrations in examples.json, in
 file order. When the serialized scene pushes the estimate past the
 budget, the scene is compacted step by step: captions go first, then
 color/material, then numeric precision, and finally whole nodes in
-ascending lexical relevance to the query. A node whose tag occurs in the
-query (case-insensitive) is never pruned.
+ascending lexical relevance to the query: the number of the query's words
+(runs of a-z and 0-9 in the lowered text) in the node's tag and caption,
+split out of each text with one byte translation. A node whose tag occurs
+in the query (case-insensitive) is never pruned.
 
 The numeric step (round_numerics) is recorded to keep the canonical
 action order, but changes no byte: serialization already rounds box
@@ -28,12 +30,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 from dataclasses import dataclass
 from importlib import resources
 from itertools import compress
 
-from .scene_model import FORMS, ObjectNode, SceneGraph, encoded_nodes, serialize_scene, serialized_length
+from .scene_model import FORMS, SceneGraph, encoded_nodes, serialize_scene, serialized_length
 
 DEFAULT_TOKEN_BUDGET = 16000
 
@@ -87,11 +88,16 @@ def template_parts() -> tuple[str, str, str]:
 # that give each form and the node fields it leaves out.
 _FORMS = tuple(zip(((), (ACTION_DROP_CAPTIONS,), (ACTION_DROP_CAPTIONS, ACTION_DROP_ATTRIBUTES)), FORMS))
 
-_WORD = re.compile(r"[a-z0-9]+")
+# Maps every byte but a-z and 0-9 to a space.
+_WORD_BYTES = bytes(c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32 for c in range(256))
 
 
-def _relevance(node: ObjectNode, query_words: set[str]) -> int:
-    return len(query_words.intersection(_WORD.findall((node.object_tag + " " + node.caption).lower())))
+def _words(text: str) -> list[bytes]:
+    """The runs of a-z and 0-9 in text.lower(), as ASCII bytes: the words
+    re.findall(r"[a-z0-9]+", text.lower()) finds. Each non-ASCII character
+    of the lowered text, which that pattern never matches, is encoded as
+    "?" and then split on like any other byte outside it."""
+    return text.lower().encode("ascii", "replace").translate(_WORD_BYTES).split()
 
 
 def compact_scene(
@@ -131,12 +137,16 @@ def compact_scene(
     actions = [*actions, ACTION_ROUND_NUMERICS]
     node_json = encoded_nodes(scene, omit)
     lowered = query.lower()
-    query_words = set(_WORD.findall(lowered))
-    # Least relevant first; ties pruned from the back of the node list.
-    prunable = sorted(
-        (i for i, n in enumerate(nodes) if n.object_tag.lower() not in lowered),
-        key=lambda i: (_relevance(nodes[i], query_words), -nodes[i].id),
+    query_words = set(_words(query))
+    # Least relevant (fewest query words in tag and caption) first; ties
+    # pruned from the back of the node list. Ids are distinct, so the
+    # index never decides the order.
+    ranked = sorted(
+        (len(query_words.intersection(_words(n.object_tag + " " + n.caption))), -n.id, i)
+        for i, n in enumerate(nodes)
+        if n.object_tag.lower() not in lowered
     )
+    prunable = [i for _, _, i in ranked]
     if len(prunable) == len(nodes):
         # Never empty the scene entirely; keep the most relevant node.
         prunable = prunable[:-1]

@@ -5,9 +5,13 @@ axis-aligned bounding box (center + per-axis extents, z up) and a few
 semantic attributes (tag, caption, color, material). Spatial edges are
 derived by the oracle, never stored in the file format.
 
-`parse_scene` checks every node once and keeps each box number within
-MAX_COORDINATE of 0; the writer relies on that bound to write box numbers
-at one decimal with one format call. `serialize_scene` writes the bytes
+`parse_scene` makes one test of each whole node and builds the nodes that
+pass it directly; only a node that fails it goes through the per-field
+checks, which word the error (or, for int box numbers, convert them). An
+`ObjectNode` is a NamedTuple, so it equals the plain tuple of its fields.
+Each box number is kept within MAX_COORDINATE of 0; the writer relies on
+that bound to write a node's id and both boxes at one decimal with one
+format call. `serialize_scene` writes the bytes
 json.dumps would, in one of the three forms a prompt sends (FORMS): the
 full scene, the scene without captions, and the scene without captions,
 colors and materials. A scene encodes each node once, on its first
@@ -62,13 +66,13 @@ class Vec3(NamedTuple):
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
 
-@dataclass(frozen=True)
-class ObjectNode:
+class ObjectNode(NamedTuple):
     """One object of a scene, as `parse_scene` accepts it: an int id >= 0,
     box numbers that are floats within MAX_COORDINATE of 0 (extents >= 0),
     and extras whose keys are distinct and name no node field. So no sum,
     square or volume of box numbers overflows, and every node is written
-    the one way `encoded_nodes` writes it."""
+    the one way `encoded_nodes` writes it. A NamedTuple: immutable,
+    hashable when its extras are, and equal to the tuple of its fields."""
 
     id: int
     bbox_extent: Vec3
@@ -116,38 +120,31 @@ class SceneGraph:
         return node_id in self._by_id
 
 
-# `_parse_vec3` and `_parse_node` take values from json.loads, which makes
-# no subclass of int, float, str, list or dict but bool. So there
+# `_parse_node` and the checks behind it take values from json.loads, which
+# makes no subclass of int, float, str, list or dict but bool. So there
 # `type(v) is int` tests what `isinstance(v, int) and not isinstance(v, bool)`
 # does, and `type(v) is T` what `isinstance(v, T)` does for the others.
 
+_new = tuple.__new__
 
-def _parse_vec3(value: Any, index: int, field_name: str) -> Vec3:
+
+def _parse_vec3(value: Any, index: int, field_name: str) -> list[float]:
     if type(value) is not list or len(value) != 3:
         raise SceneError("expected a 3-element array", index, field_name)
-    x, y, z = value
-    # The common case, three floats within the bound; NaN fails a comparison.
-    if (
-        type(x) is float
-        and type(y) is float
-        and type(z) is float
-        and -MAX_COORDINATE <= x <= MAX_COORDINATE
-        and -MAX_COORDINATE <= y <= MAX_COORDINATE
-        and -MAX_COORDINATE <= z <= MAX_COORDINATE
-    ):
-        return Vec3(x, y, z)
     for c in value:
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise SceneError(f"non-numeric component {c!r}", index, field_name)
         # `not <=`: NaN compares false; an int is compared exactly.
         if not abs(c) <= MAX_COORDINATE:
             raise SceneError(f"component must be a number within {MAX_COORDINATE:g} m of 0", index, field_name)
-    return Vec3(*map(float, value))
+    return [float(c) for c in value]
 
 
-def _parse_node(obj: Any, index: int) -> ObjectNode:
-    if type(obj) is not dict:
-        raise SceneError("expected a JSON object", index)
+def _checked_boxes(obj: dict, index: int) -> tuple[list[float], list[float]]:
+    """Check a node that failed `_parse_node`'s test field by field, in a
+    fixed order, and raise SceneError for the first field at fault. A node
+    these checks pass has an int box number, the one thing they accept and
+    the test does not; its extent and centre are returned as floats."""
     for key in REQUIRED_KEYS:
         if key not in obj:
             raise SceneError(f"missing required field {key!r}", index, key)
@@ -159,7 +156,7 @@ def _parse_node(obj: Any, index: int) -> ObjectNode:
         raise SceneError(f"id must be non-negative, got {node_id}", index, "id")
 
     extent = _parse_vec3(obj["bbox_extent"], index, "bbox_extent")
-    if not (extent.x >= 0 and extent.y >= 0 and extent.z >= 0):
+    if not (extent[0] >= 0 and extent[1] >= 0 and extent[2] >= 0):
         c = next(c for c in extent if c < 0)
         raise SceneError(f"negative extent component {c}", index, "bbox_extent")
     center = _parse_vec3(obj["bbox_center"], index, "bbox_center")
@@ -168,13 +165,63 @@ def _parse_node(obj: Any, index: int) -> ObjectNode:
     if type(tag) is not str or not tag:
         raise SceneError("object_tag must be a non-empty string", index, "object_tag")
 
-    caption, color, material = obj.get("caption", ""), obj.get("color", ""), obj.get("material", "")
-    if not (type(caption) is str and type(color) is str and type(material) is str):
-        key = next(k for k in OPTIONAL_TEXT_KEYS if type(obj.get(k, "")) is not str)
-        raise SceneError(f"{key} must be a string", index, key)
+    for key in OPTIONAL_TEXT_KEYS:
+        if type(obj.get(key, "")) is not str:
+            raise SceneError(f"{key} must be a string", index, key)
+    return extent, center
 
+
+def _parse_node(obj: Any, index: int) -> ObjectNode:
+    """The node `obj` describes, or SceneError naming its first field at
+    fault.
+
+    One test accepts a whole node: a dict with the required keys, an int id
+    >= 0, two 3-element lists of floats within MAX_COORDINATE of 0 (extents
+    >= 0), a non-empty str tag and str caption, color and material. A node
+    that passes is built with no further call. One that fails goes to
+    `_checked_boxes`, which words the error.
+    """
+    if type(obj) is not dict:
+        raise SceneError("expected a JSON object", index)
+    get = obj.get
+    node_id = get("id")
+    extent = get("bbox_extent")
+    center = get("bbox_center")
+    tag = get("object_tag")
+    caption = get("caption", "")
+    color = get("color", "")
+    material = get("material", "")
+    m = MAX_COORDINATE
+    whole = False
+    if (
+        type(node_id) is int
+        and node_id >= 0
+        and type(extent) is list
+        and len(extent) == 3
+        and type(center) is list
+        and len(center) == 3
+        and type(tag) is str
+        and tag
+        and type(caption) is str
+        and type(color) is str
+        and type(material) is str
+    ):
+        ex, ey, ez = extent
+        cx, cy, cz = center
+        # NaN fails every comparison.
+        whole = (
+            type(ex) is type(ey) is type(ez) is type(cx) is type(cy) is type(cz) is float
+            and 0.0 <= ex <= m
+            and 0.0 <= ey <= m
+            and 0.0 <= ez <= m
+            and -m <= cx <= m
+            and -m <= cy <= m
+            and -m <= cz <= m
+        )
+    if not whole:
+        extent, center = _checked_boxes(obj, index)
     extra = () if obj.keys() <= _NODE_KEY_SET else tuple((k, v) for k, v in obj.items() if k not in _NODE_KEY_SET)
-    return ObjectNode(node_id, extent, center, tag, caption, color, material, extra)
+    return _new(ObjectNode, (node_id, _new(Vec3, extent), _new(Vec3, center), tag, caption, color, material, extra))
 
 
 def _read_nodes(json_text: str) -> tuple[int, list[ObjectNode], list[SceneError]]:
@@ -221,30 +268,31 @@ def parse_scene(json_text: str) -> SceneGraph:
     return SceneGraph(nodes=tuple(nodes))
 
 
+# The id and box items of a node's JSON object, and the tag's key.
+_ID_AND_BOXES = '"id": %d, "bbox_extent": [%.1f, %.1f, %.1f], "bbox_center": [%.1f, %.1f, %.1f], "object_tag": '
+
+
 def _encode_node(node: ObjectNode) -> tuple[str, str, str, str]:
     """The node's JSON object as json.dumps writes it, in four pieces, each
     encoded once: the id, box and tag items; ', "caption": …';
     ', "color": …, "material": …'; and ', ' + each extra item, in order.
-    A form's object is "{" + its pieces + "}"."""
+    A form's object is "{" + its pieces + "}".
+
+    json writes each box number rounded to one decimal as float.__repr__
+    does, with -0.0 written as 0.0. For a box number within MAX_COORDINATE,
+    "%.1f" writes the correctly rounded digits that round(c, 1) keeps, and
+    float.__repr__ of a one-decimal float below 1e16 writes those digits
+    back. "%.1f" writes "-0.0" only as a whole box number, for one that
+    rounds to zero from below, and no id or key holds it, so one replace
+    over the id and box items, before the tag is added, writes 0.0."""
     e = encode_basestring_ascii
     return (
-        '"id": %d, "bbox_extent": %s, "bbox_center": %s, "object_tag": %s'
-        % (node.id, _encode_vec3(node.bbox_extent), _encode_vec3(node.bbox_center), e(node.object_tag)),
+        (_ID_AND_BOXES % (node.id, *node.bbox_extent, *node.bbox_center)).replace("-0.0", "0.0") + e(node.object_tag),
         ', "caption": ' + e(node.caption),
         ', "color": ' + e(node.color) + ', "material": ' + e(node.material),
         # json.dumps of a one-item dict is "{" + that item + "}".
         "".join([", " + json.dumps({key: value})[1:-1] for key, value in node.extra]),
     )
-
-
-def _encode_vec3(v: Vec3) -> str:
-    """json.dumps of the components rounded to one decimal, with -0.0
-    written as 0.0. json writes a float as float.__repr__ does. For a box
-    number within MAX_COORDINATE, "%.1f" writes the correctly rounded
-    digits that round(c, 1) keeps, and float.__repr__ of a one-decimal
-    float below 1e16 writes those digits back. "%.1f" writes "-0.0" only
-    as a whole item, for a number that rounds to zero from below."""
-    return ("[%.1f, %.1f, %.1f]" % v).replace("-0.0", "0.0")
 
 
 class _Encoding:

@@ -909,3 +909,72 @@ def test_import_leaves_requests_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, scenequery.cli; sys.exit('requests' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone, on the descriptor `fd`: a write, or
+    the flush of buffered output, raises BrokenPipeError."""
+
+    def __init__(self, fd: int, fail_on: str):
+        self.fd, self.fail_on = fd, fail_on
+
+    def write(self, text: str) -> int:
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        if self.fail_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe", "SCENE", "--relations"],
+        ["--format", "json", "describe", "SCENE", "--relations"],
+        ["--format", "json", "ask", "SCENE", "Is the pillow (id: 27) on top of the white couch (id: 28)?"],
+        ["validate", "SCENE"],
+    ],
+)
+def test_closed_stdout_exits_2_quietly(couch_pillow_file, tmp_path, monkeypatch, argv, fail_on):
+    """Output into a pipe whose reader has closed (`| head`) exits 2, prints
+    nothing to stderr, and leaves stdout's descriptor on os.devnull, so the
+    interpreter's flush at exit has nowhere to fail."""
+    stderr = io.StringIO()
+    with open(tmp_path / "stdout.txt", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(fh.fileno(), fail_on))
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main([couch_pillow_file if a == "SCENE" else a for a in argv]) == 2
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert stderr.getvalue() == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_pipe_exits_2_without_traceback(tmp_path, fmt):
+    """The installed entry point's path end to end: the read end of stdout
+    is closed before the command writes, and a 1,200-node describe is
+    larger than a pipe's buffer, so the write fails either way."""
+    rows = [
+        {"id": i, "bbox_extent": [0.5, 0.5, 0.5], "bbox_center": [float(i % 40), float(i // 40), 0.25], "object_tag": "box"}
+        for i in range(1200)
+    ]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys; from scenequery.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "--format", fmt, "describe", str(path), "--relations"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr

@@ -11,6 +11,7 @@ from scenequery.prompts import (
     ACTION_PRUNE_NODE,
     ACTION_ROUND_NUMERICS,
     _FORMS,
+    _words,
     BudgetInfeasible,
     PromptBundle,
     build_prompt,
@@ -371,7 +372,13 @@ coordinate = st.one_of(
     st.sampled_from([0.0, -0.0, -0.04, 0.05, -0.05, 0.15, 2.675]),
 )
 vec = st.builds(Vec3, coordinate, coordinate, coordinate)
-words = st.sampled_from(["vase", "mirror", "red", "table", "café", "Über", "雪", "on", "the", "chair"])
+words = st.sampled_from(
+    [
+        "vase", "mirror", "red", "table", "café", "Über", "雪", "on", "the", "chair",
+        # KELVIN SIGN lowers to "k"; U+0130 to "i" and a combining dot.
+        "\u212aettle", "kettle", "\u0130nk", "ink", "a\ud800b", "nul\x00l", "2nd", "k-9", "r2d2!",
+    ]
+)
 phrase = st.lists(words, min_size=1, max_size=4).map(" ".join)
 text = st.one_of(st.just(""), phrase, st.text(max_size=20))
 extra = st.lists(
@@ -481,3 +488,45 @@ def test_each_compaction_branch_matches_reference(stop, expected_actions):
         assert 0 < len(got.included_node_ids) < len(scene.nodes)
     else:
         assert actions == expected_actions
+
+
+word_char = st.one_of(
+    st.characters(),
+    st.sampled_from(["\u212a", "\u0130", "\ud800", "\udfff", "\x00", "\x7f", "\xff", "ß", "\ufb01", "7", "-", ".", "K", " "]),
+)
+
+
+@settings(max_examples=500)
+@given(st.text(word_char, max_size=30))
+@example("\u212aettle \u0130nk a\ud800b nul\x00l 2nd-K9, r2d2! caf\xe9")
+def test_byte_words_match_regex(text):
+    """Prune ranking splits words on bytes; it must find the regex's words."""
+    assert [w.decode("ascii") for w in _words(text)] == _WORD.findall(text.lower())
+
+
+def test_prune_ranking_with_awkward_characters_matches_reference():
+    tags = ["\u212aettle", "kettle", "\u0130nk pot", "ink", "a\ud800b", "nul\x00l", "2nd k-9", "r2d2", "lamp", "cup"]
+    captions = ["Kettle by the INK", "\u0130nk 2nd", "", "a\ud800b k 9", "\x00", "r2d2 kettle", "lamp ink", "ß", "", "k"]
+    scene = SceneGraph(
+        nodes=tuple(
+            ObjectNode(i, Vec3(0.5, 0.5, 0.5), Vec3(float(i), 0.0, 0.0), tag, caption)
+            for i, (tag, caption) in enumerate(zip(tags, captions))
+        )
+    )
+
+    def kept_and_actions(compact, query, budget):
+        try:
+            kept, actions = compact(scene, query, budget, overhead_for(query))[:2]
+        except BudgetInfeasible as exc:
+            return exc.overflow_tokens
+        # The reference returns the kept scene, compact_scene the kept ids.
+        return (list(kept) if compact is compact_scene else [n.id for n in kept.nodes]), actions
+
+    pruned = 0
+    for query in ("is the KETTLE by the ink?", "where is \u212a-9 or r2d2?", "what is \u0130nk?", "a chair"):
+        for pick in (0.1, 0.4, 0.7, 0.95):
+            budget = budget_for("mid_prune", scene, query, pick)
+            got = kept_and_actions(compact_scene, query, budget)
+            assert got == kept_and_actions(reference_compact_scene, query, budget)
+            pruned += type(got) is tuple
+    assert pruned >= 8

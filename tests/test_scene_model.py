@@ -6,11 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from scenequery.oracle import _box
 from scenequery.scene_model import (
-    _encode_vec3,
+    _encode_node,
     FORMS,
     MAX_COORDINATE,
     NODE_KEYS,
     OPTIONAL_TEXT_KEYS,
+    REQUIRED_KEYS,
     ObjectNode,
     SceneError,
     SceneGraph,
@@ -417,13 +418,245 @@ def reference_encode_vec3(v):
 # magnitude up to 999999999.95.
 large_tie = st.integers(-(10**10) + 1, 10**10 - 1).map(lambda k: k / 10 + 0.05)
 box_number = st.one_of(coordinate, large_tie)
+vec3 = st.builds(Vec3, box_number, box_number, box_number)
 
 
 @settings(max_examples=2000)
-@given(st.builds(Vec3, box_number, box_number, box_number))
-@example(Vec3(-0.0, -0.04, 0.05))
-@example(Vec3(-0.05, 0.15, 0.25))
-@example(Vec3(2.675, 5e-324, MAX_COORDINATE))
-@example(Vec3(-MAX_COORDINATE, MAX_COORDINATE - 0.05, 999999999.95))
-def test_encode_vec3_matches_reference(v):
-    assert _encode_vec3(v) == reference_encode_vec3(v)
+@given(vec3, vec3, st.sampled_from(["x", "-0.0", "a -0.0 b", "é"]))
+@example(Vec3(-0.0, -0.04, 0.05), Vec3(-0.05, 0.15, 0.25), "-0.0")
+@example(Vec3(2.675, 5e-324, MAX_COORDINATE), Vec3(-MAX_COORDINATE, MAX_COORDINATE - 0.05, 999999999.95), "x")
+def test_encode_node_box_items_match_reference(extent, center, tag):
+    """One format writes the id and both boxes, and -0.0 becomes 0.0 there
+    only: a tag holding "-0.0" is written as it is."""
+    node = ObjectNode(2**70, extent, center, tag)
+    assert _encode_node(node)[0] == '"id": %d, "bbox_extent": %s, "bbox_center": %s, "object_tag": %s' % (
+        node.id, reference_encode_vec3(extent), reference_encode_vec3(center), json.dumps(tag)
+    )
+
+
+class TestObjectNode:
+    """ObjectNode's contract: keyword construction with defaults, volume(),
+    immutability and hashing; as a NamedTuple it equals the tuple of its
+    fields."""
+
+    def test_keyword_construction_and_defaults(self):
+        node = ObjectNode(id=3, bbox_extent=Vec3(1.0, 2.0, 0.5), bbox_center=Vec3(0.0, 0.0, 0.0), object_tag="box")
+        assert (node.caption, node.color, node.material, node.extra) == ("", "", "", ())
+        assert node == ObjectNode(3, Vec3(1.0, 2.0, 0.5), Vec3(0.0, 0.0, 0.0), "box")
+        assert node == (3, (1.0, 2.0, 0.5), (0.0, 0.0, 0.0), "box", "", "", "", ())
+        assert node._fields == ("id", "bbox_extent", "bbox_center", "object_tag", "caption", "color", "material", "extra")
+
+    def test_volume(self):
+        assert ObjectNode(0, Vec3(1.5, 2.0, 0.5), Vec3(9.0, 9.0, 9.0), "box").volume() == 1.5
+        assert ObjectNode(0, Vec3(0.0, 2.0, 0.5), Vec3(0.0, 0.0, 0.0), "flat").volume() == 0.0
+
+    def test_immutable(self):
+        node = ObjectNode(0, Vec3(1.0, 1.0, 1.0), Vec3(0.0, 0.0, 0.0), "box")
+        for name in ("id", "object_tag", "caption", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, "x")
+        with pytest.raises(TypeError):
+            node[0] = 5
+
+    def test_equal_nodes_hash_equal(self):
+        a = ObjectNode(1, Vec3(1.0, 1.0, 1.0), Vec3(0.0, 0.0, 0.0), "box", "c", extra=(("k", 1),))
+        b = parse_scene(serialize_scene(SceneGraph(nodes=(a,)))).nodes[0]
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != a._replace(caption="d")
+
+
+# --- reference node parsing --------------------------------------------------
+# The straightforward parser: every field checked in turn, with no whole-node
+# test. parse_scene and scene_issues must accept the nodes it accepts, build
+# the same nodes, and word each error as it does.
+
+
+def reference_parse_vec3(value, index, field_name):
+    if not isinstance(value, list) or len(value) != 3:
+        raise SceneError("expected a 3-element array", index, field_name)
+    for c in value:
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise SceneError(f"non-numeric component {c!r}", index, field_name)
+        if not abs(c) <= MAX_COORDINATE:
+            raise SceneError(f"component must be a number within {MAX_COORDINATE:g} m of 0", index, field_name)
+    return Vec3(*map(float, value))
+
+
+def reference_parse_node(obj, index):
+    if not isinstance(obj, dict):
+        raise SceneError("expected a JSON object", index)
+    for key in REQUIRED_KEYS:
+        if key not in obj:
+            raise SceneError(f"missing required field {key!r}", index, key)
+
+    node_id = obj["id"]
+    if isinstance(node_id, bool) or not isinstance(node_id, int):
+        raise SceneError(f"id must be an integer, got {node_id!r}", index, "id")
+    if node_id < 0:
+        raise SceneError(f"id must be non-negative, got {node_id}", index, "id")
+
+    extent = reference_parse_vec3(obj["bbox_extent"], index, "bbox_extent")
+    if not (extent.x >= 0 and extent.y >= 0 and extent.z >= 0):
+        c = next(c for c in extent if c < 0)
+        raise SceneError(f"negative extent component {c}", index, "bbox_extent")
+    center = reference_parse_vec3(obj["bbox_center"], index, "bbox_center")
+
+    tag = obj["object_tag"]
+    if not isinstance(tag, str) or not tag:
+        raise SceneError("object_tag must be a non-empty string", index, "object_tag")
+
+    texts = [obj.get(key, "") for key in OPTIONAL_TEXT_KEYS]
+    for key, value in zip(OPTIONAL_TEXT_KEYS, texts):
+        if not isinstance(value, str):
+            raise SceneError(f"{key} must be a string", index, key)
+
+    extra = tuple((k, v) for k, v in obj.items() if k not in NODE_KEYS)
+    return ObjectNode(node_id, extent, center, tag, *texts, extra)
+
+
+def reference_read(text):
+    """(node count, nodes, issues as (message, node index, field)) for the
+    nodes of a JSON array, with a repeated id an issue, as `_read_nodes`."""
+    data = json.loads(text)
+    nodes, issues, seen = [], [], set()
+    for index, obj in enumerate(data):
+        try:
+            node = reference_parse_node(obj, index)
+        except SceneError as exc:
+            issues.append(exc)
+            continue
+        if node.id in seen:
+            issues.append(SceneError(f"duplicate id {node.id}", index, "id"))
+        seen.add(node.id)
+        nodes.append(node)
+    return len(data), nodes, [(str(e), e.node_index, e.field_name) for e in issues]
+
+
+BEYOND = math.nextafter(MAX_COORDINATE, math.inf)
+# Box numbers: bools, ints, NaN, the infinities, -0.0, the bound and the
+# floats next to it on either side, and values that are not numbers.
+ODD_NUMBERS = [
+    True, False, 0, 1, -2, 10**9, 10**9 + 1, -(10**9), 10**400,
+    math.nan, math.inf, -math.inf, -0.0, 0.0, -0.5, -5e-324,
+    MAX_COORDINATE, -MAX_COORDINATE, BEYOND, -BEYOND,
+    math.nextafter(MAX_COORDINATE, 0), -math.nextafter(MAX_COORDINATE, 0),
+    "1.0", None, [1.0], {"x": 1.0},
+]
+odd_number = st.sampled_from(ODD_NUMBERS)
+odd_value = st.one_of(odd_number, st.sampled_from(["", "x", -1, 2**70, 1.5, True, []]))
+BOXES = ("bbox_extent", "bbox_center")
+
+
+@st.composite
+def mutation(draw):
+    """One change to a node dict, as a function of it."""
+    kind = draw(st.sampled_from(["number", "length", "missing", "extra", "field", "empty_tag", "not_a_dict"]))
+    if kind == "number":
+        key, i, value = draw(st.sampled_from(BOXES)), draw(st.integers(0, 2)), draw(odd_number)
+        return lambda node: {**node, key: [value if j == i else c for j, c in enumerate(node.get(key, []))]}
+    if kind == "length":
+        key, size = draw(st.sampled_from(BOXES)), draw(st.sampled_from([0, 2, 4]))
+        return lambda node: {**node, key: (node.get(key, []) * 2)[:size]}
+    if kind == "missing":
+        key = draw(st.sampled_from(NODE_KEYS))
+        return lambda node: {k: v for k, v in node.items() if k != key}
+    if kind == "extra":
+        items = draw(extra_items)
+        return lambda node: {**node, **items}
+    if kind == "field":
+        key, value = draw(st.sampled_from(("id",) + NODE_KEYS[3:])), draw(odd_value)
+        return lambda node: {**node, key: value}
+    if kind == "empty_tag":
+        return lambda node: {**node, "object_tag": ""}
+    value = draw(st.sampled_from([[1, 2, 3], 0, "node", None, True]))
+    return lambda node: value
+
+
+@st.composite
+def node_dicts(draw):
+    """A valid node, with floats for box numbers, then up to three mutations."""
+    node = {
+        "id": draw(st.integers(0, 6)),
+        "bbox_extent": draw(st.lists(extent.map(float), min_size=3, max_size=3)),
+        "bbox_center": draw(st.lists(coordinate.map(float), min_size=3, max_size=3)),
+        "object_tag": draw(awkward_text.filter(bool)),
+    }
+    node.update((key, draw(awkward_text)) for key in OPTIONAL_TEXT_KEYS if draw(st.booleans()))
+    for change in draw(st.lists(mutation(), max_size=3)):
+        if isinstance(node, dict):
+            node = change(node)
+    return node
+
+
+def assert_reads_as_reference(text):
+    count, nodes, issues = reference_read(text)
+    got_count, got_issues = scene_issues(text)
+    assert (got_count, [(str(e), e.node_index, e.field_name) for e in got_issues]) == (count, issues)
+    if issues:
+        with pytest.raises(SceneError) as exc:
+            parse_scene(text)
+        assert (str(exc.value), exc.value.node_index, exc.value.field_name) == issues[0]
+        return
+    scene = parse_scene(text)
+    # repr tells -0.0 from 0.0 and 1 from 1.0.
+    assert repr(scene.nodes) == repr(tuple(nodes))
+    for node in scene.nodes:
+        assert type(node) is ObjectNode
+        assert type(node.bbox_extent) is Vec3 and type(node.bbox_center) is Vec3
+        assert all(type(c) is float for c in node.bbox_extent + node.bbox_center)
+
+
+VALID_NODE = {"id": 1, "bbox_extent": [1.0, 0.5, 0.25], "bbox_center": [0.0, -2.5, 1e-3], "object_tag": "box"}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"bbox_extent": [-0.0, 1.0, 1.0], "bbox_center": [-0.0, -0.0, 0.0]},
+        {"bbox_extent": [MAX_COORDINATE, 0.0, 0.0], "bbox_center": [-MAX_COORDINATE, MAX_COORDINATE, 0.0]},
+        {"bbox_extent": [1, 2, 3], "bbox_center": [10**9, -(10**9), 0]},
+        {"bbox_extent": [-1, 0.0, float("nan")], "bbox_center": [0.0, float("inf"), 0.0]},
+        {"bbox_extent": [1.0, 1.0]},
+        {"bbox_center": [1.0, 1.0, 1.0, 1.0]},
+        {"bbox_extent": "1 1 1"},
+        {"object_tag": ""},
+        {"object_tag": 5},
+        {"id": True},
+        {"id": -1},
+        {"id": 1.0},
+        {"id": 2**70},
+        {"caption": None},
+        {"color": 3},
+        {"material": ["wood"]},
+        {"caption": "a -0.0 box", "color": "", "material": "é"},
+        {"score": 0.9, "tags": ["a"]},
+        {"zz": None, "bbox_center": [0.0, 0.0, 0.0]},
+    ],
+)
+def test_each_field_change_reads_as_reference(change):
+    node = {**VALID_NODE, **change}
+    for missing in (None, *REQUIRED_KEYS):
+        row = {k: v for k, v in node.items() if k != missing}
+        assert_reads_as_reference(json.dumps([row, [1.0], row]))
+
+
+@pytest.mark.parametrize("key", BOXES)
+def test_each_box_number_reads_as_reference(key):
+    for i in range(3):
+        for value in ODD_NUMBERS:
+            box = [0.5, 0.5, 0.5]
+            box[i] = value
+            assert_reads_as_reference(json.dumps([{**VALID_NODE, key: box}]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(node_dicts(), max_size=4))
+def test_parse_matches_reference(rows):
+    """Nodes changed field by field are read as the field-by-field parser
+    reads them: the same nodes, or the same errors in the same order. Each
+    node is also read alone, so a valid one is compared however its
+    neighbours fare."""
+    assert_reads_as_reference(json.dumps(rows))
+    for row in rows:
+        assert_reads_as_reference(json.dumps([row]))
