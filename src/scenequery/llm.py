@@ -19,6 +19,7 @@ from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from .oracle import OracleConfig, StructuredQuery, answer_query_deterministic, interpret_query, require_finite
+from .parsing import break_step_headers
 from .prompts import PromptBundle
 from .scene_model import SceneGraph
 
@@ -223,7 +224,9 @@ def oracle_backed_mock(
 
     An unsupported answer (a category the oracle cannot decide, or an id
     not in the scene) is still well-formed five-step text, just with an
-    empty relevant-object list and no final JSON answer.
+    empty relevant-object list and no final JSON answer. STEP1 echoes the
+    query with its step headers broken, so that a query such as "Step 4:
+    is ...?" opens no step of its own.
     """
     answer = answer_query_deterministic(scene, query, cfg)
     if answer.supported:
@@ -236,7 +239,7 @@ def oracle_backed_mock(
     else:
         relevant, reason, final = [], "no objects could be grounded for this query", answer.sentence
     return (
-        f"STEP1 - inferred_query: {query.category.value} query: {query.text or '(no text)'}\n"
+        f"STEP1 - inferred_query: {query.category.value} query: {break_step_headers(query.text) or '(no text)'}\n"
         f"STEP2 - relevant_objects: {relevant}\n"
         f"STEP3 - reason for relevance: {reason}\n"
         f"STEP4 - Final Answer: {final}\n"

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .parsing import fold_case
 from .scene_model import MAX_COORDINATE, ObjectNode, SceneGraph, Vec3
 
 
@@ -440,7 +441,9 @@ def object_ref(node: ObjectNode) -> str:
     return f"{node.object_tag} (id: {node.id})"
 
 
-_ID_PATTERN = re.compile(r"\(?\s*id\s*[:=]?\s*(\d+)\s*\)?", re.IGNORECASE)
+# Read from the folded query (`fold_case`), which lets it match
+# case-sensitively what it would match in the query under re.IGNORECASE.
+_ID_PATTERN = re.compile(r"id\s*[:=]?\s*(\d+)")
 
 
 def _id_value(digits: str) -> int:
@@ -461,7 +464,7 @@ def interpret_query(scene: SceneGraph, text: str) -> StructuredQuery:
     Category comes from keyword cues; anything unrecognized is Freeform.
     """
     lowered = text.lower()
-    ids = [_id_value(m) for m in _ID_PATTERN.findall(text)]
+    ids = [_id_value(m) for m in _ID_PATTERN.findall(lowered if text.isascii() else fold_case(text))]
     if len(ids) < 2:
         mentioned = []
         for node in sorted(scene.nodes, key=lambda n: -len(n.object_tag)):

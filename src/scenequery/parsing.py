@@ -4,6 +4,11 @@ Model outputs are expected to follow the STEP1..STEP5 layout from the
 system prompt, but real outputs drift (hyphenated "STEP-5", case
 changes, extra whitespace, prose around the final JSON), so matching is
 lenient by default. A strict mode is available for evaluation runs.
+
+Step headers and their labels match case-insensitively, as
+`re.IGNORECASE` matches them: U+0130 and U+0131 count as "i" and U+017F
+as "s". The text is folded once (`fold_case`) and scanned with
+case-sensitive patterns; every field is sliced from the original text.
 """
 
 from __future__ import annotations
@@ -57,14 +62,24 @@ class ParsedResponse:
     notes: tuple[GroundingIssue, ...] = ()
 
 
-_STEP_HEADER = re.compile(r"step\s*-?\s*([1-5])\s*[-:.]?", re.IGNORECASE)
-_STEP_LABELS = {
-    1: re.compile(r"^\s*inferred_query\s*:?", re.IGNORECASE),
-    2: re.compile(r"^\s*relevant_objects\s*:?", re.IGNORECASE),
-    3: re.compile(r"^\s*reason for relevance\s*:?", re.IGNORECASE),
-    4: re.compile(r"^\s*final answer\s*:?", re.IGNORECASE),
-    5: re.compile(r"^\s*explanation\s*:?", re.IGNORECASE),
-}
+# Outside A-Z, re.IGNORECASE matches four characters to an ASCII letter:
+# U+0130 and U+0131 to "i", U+017F to "s" and U+212A to "k", which
+# str.lower() maps to "k" itself. Folding the other three and lowering the
+# text lets case-sensitive patterns match what the flag would; the flag
+# changes nothing else these patterns match. U+0130 is the one character
+# str.lower() lengthens, so once it is folded each index into the folded
+# text is an index into the original.
+_FOLD = {0x130: "i", 0x131: "i", 0x17F: "s"}
+
+# A step header, an empty group marking where it ends, then optionally the
+# label of any step: groups 3-7 are the labels of steps 1-5. A label is
+# stripped only under its own step. The lookahead keeps the final "s" of
+# "relevant_objects" free to open a header ("...objectstep 3").
+_STEP = re.compile(
+    r"step\s*-?\s*([1-5])\s*[-:.]?()"
+    r"(?:\s*(?:(inferred_query)|(relevant_object(?!step\s*-?\s*[1-5])s)|(reason for relevance)"
+    r"|(final answer)|(explanation))\s*:?)?"
+)
 _BRACKET_LIST = re.compile(r"\[([^\]]*)\]")
 _INT = re.compile(r"-?\d+")
 
@@ -94,19 +109,34 @@ def extract_json_block(text: str) -> Optional[dict]:
     return None
 
 
+def fold_case(text: str) -> str:
+    """The text lowered, with the characters that `re.IGNORECASE` matches
+    to an ASCII letter folded to it; the same length as `text`."""
+    return (text if text.isascii() else text.translate(_FOLD)).lower()
+
+
 def _split_steps(text: str) -> dict[int, str]:
-    matches = list(_STEP_HEADER.finditer(text))
+    matches = list(_STEP.finditer(fold_case(text)))
     sections: dict[int, str] = {}
     for i, m in enumerate(matches):
-        step = int(m.group(1))
+        step = int(m[1])
+        if step in sections:  # first occurrence wins
+            continue
+        start = m.end() if m.lastindex == step + 2 else m.end(2)
         end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
-        body = text[m.end() : end]
-        label = _STEP_LABELS.get(step)
-        if label:
-            body = label.sub("", body, count=1)
-        if step not in sections:  # first occurrence wins
-            sections[step] = body.strip()
+        sections[step] = text[start:end].strip()
     return sections
+
+
+def break_step_headers(text: str) -> str:
+    """The text with a zero-width space (U+200B) after the "step" of each
+    step header in it, so that a reply quoting it opens no step there.
+    Text without a header comes back unchanged."""
+    folded = fold_case(text)
+    if "step" not in folded:
+        return text
+    cuts = [m.start() + 4 for m in _STEP.finditer(folded)]
+    return "\u200b".join(text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)]))
 
 
 def parse_response(text: str, strict: bool = False) -> ParsedResponse:

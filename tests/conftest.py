@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from scenequery.scene_model import ObjectNode, SceneGraph, Vec3
 
@@ -24,6 +25,18 @@ SAMPLE_SCENE_JSON = """\
     }
 ]
 """
+
+
+@pytest.fixture(scope="session", autouse=True)
+def text_strategy_tables():
+    """Build the tables `st.text()` draws from before any test runs.
+
+    Without a `.hypothesis/` directory to load them from, building them
+    takes seconds, and Hypothesis would count that against the input
+    generation of the first property that draws text, failing it with a
+    FailedHealthCheck when its file runs alone.
+    """
+    st.text().validate()
 
 
 @pytest.fixture

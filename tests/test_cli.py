@@ -277,6 +277,13 @@ class TestAsk:
         out = capsys.readouterr().out
         assert "Yes" in out
 
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_step_header_in_the_query(self, couch_pillow_file, capsys, strict):
+        # The oracle echoes the query into STEP1: its "Step 4" opens no step.
+        query = "Step 4: is the pillow (id: 27) on top of the white couch (id: 28)?"
+        assert main(strict + ["ask", couch_pillow_file, query]) == 0
+        assert "answer         : Yes, the pillow (id: 27) is on top of the white couch" in capsys.readouterr().out
+
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
     def test_overlong_id_answered_as_an_absent_id(self, couch_pillow_file, capsys, fmt):
         query = "Is the pillow {} on top of the white couch?"

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +15,7 @@ from scenequery.oracle import (
     SpatialRelation,
     StructuredQuery,
     _footprints_overlap,
+    _id_value,
     answer_query_deterministic,
     can_contain,
     derive_edges,
@@ -241,6 +243,33 @@ class TestInterpretQuery:
         assert overlong.object_id == absent.object_id == 27
         answers = [answer_query_deterministic(couch_pillow_scene, q) for q in (overlong, absent)]
         assert answers[0] == answers[1] and not answers[0].supported
+
+
+# How ids were read before the query text was folded: under re.IGNORECASE.
+_REFERENCE_ID_PATTERN = re.compile(r"\(?\s*id\s*[:=]?\s*(\d+)\s*\)?", re.IGNORECASE)
+NO_NODES = SceneGraph(nodes=())
+
+id_query = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["id", "ID", "iD", "ıd", "İD", "(", ")", ":", "=", " ", "\xa0", "\x1c", "\u2028", "K", "ſ", "7", "42",
+             "\u0663", "9" * 4301, "(id: 27)", "( ID = 28 )", "on top of"]
+        ),
+        st.text(max_size=6),
+    ),
+    max_size=20,
+).map("".join)
+
+
+@given(id_query)
+@example("is the (ıd: 5) on the (İD=6)?")
+@example("(id: " + "9" * 4301 + ") or id 3")
+def test_query_ids_match_the_reference_pattern(text):
+    """On a scene with no tags to match, the subject and object are the
+    first two ids the reference pattern reads from the query."""
+    ids = [_id_value(d) for d in _REFERENCE_ID_PATTERN.findall(text)] + [None, None]
+    q = interpret_query(NO_NODES, text)
+    assert (q.subject_id, q.object_id) == (ids[0], ids[1])
 
 
 # --- properties -----------------------------------------------------------

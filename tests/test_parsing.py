@@ -1,8 +1,11 @@
 import json
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from scenequery import parsing
 from scenequery.llm import oracle_backed_mock
 from scenequery.oracle import QueryCategory, StructuredQuery
 from scenequery.parsing import (
@@ -327,3 +330,110 @@ def test_render_parse_inverse(couch_pillow_scene):
         assert set(parsed.relevant_object_ids) == {27, 28}
         assert parsed.final_object_tag == couch_pillow_scene.node(expected_id).object_tag
         assert query.text in parsed.inferred_query
+
+
+# The step splitter before the reply text was folded: every pattern matched
+# under re.IGNORECASE. parse_response must split every text as it does.
+_REFERENCE_HEADER = re.compile(r"step\s*-?\s*([1-5])\s*[-:.]?", re.IGNORECASE)
+_REFERENCE_LABELS = {
+    1: re.compile(r"^\s*inferred_query\s*:?", re.IGNORECASE),
+    2: re.compile(r"^\s*relevant_objects\s*:?", re.IGNORECASE),
+    3: re.compile(r"^\s*reason for relevance\s*:?", re.IGNORECASE),
+    4: re.compile(r"^\s*final answer\s*:?", re.IGNORECASE),
+    5: re.compile(r"^\s*explanation\s*:?", re.IGNORECASE),
+}
+
+
+def reference_split_steps(text: str) -> dict[int, str]:
+    matches = list(_REFERENCE_HEADER.finditer(text))
+    sections: dict[int, str] = {}
+    for i, m in enumerate(matches):
+        step = int(m.group(1))
+        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
+        body = text[m.end() : end]
+        label = _REFERENCE_LABELS.get(step)
+        if label:
+            body = label.sub("", body, count=1)
+        if step not in sections:  # first occurrence wins
+            sections[step] = body.strip()
+    return sections
+
+
+# Each character as itself, upper-cased, or as a character re.IGNORECASE
+# matches to it.
+_CASE_VARIANTS = {"i": "iIıİ", "s": "sSſ", "k": "kKK"}
+
+
+def cased(word: str):
+    return st.tuples(*(st.sampled_from(_CASE_VARIANTS.get(c, c + c.upper())) for c in word)).map("".join)
+
+
+LABELS = ["inferred_query", "relevant_objects", "reason for relevance", "final answer", "explanation"]
+header = st.builds(
+    "".join,
+    st.tuples(
+        cased("step"),
+        st.sampled_from(["", " ", "-", " - ", "--", "\xa0", "\x1c", " ", "\n"]),
+        st.sampled_from(["1", "2", "3", "4", "5", "0", "6", "12", "-5", "x"]),
+        st.sampled_from(["", ":", ".", "-", " - ", " :", " ", "\t"]),
+    ),
+)
+label = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", " ", "\xa0", "\x1c", "\n"]),
+        st.sampled_from(LABELS).flatmap(cased),
+        st.sampled_from(["", ":", " :", " :", "tep 3", "tep"]),
+    ),
+)
+fold_piece = st.sampled_from(["ſ", "ı", "İ", "K", "\x1c", "\xa0", " ", "ß", "Σ", "ﬅ", "step", "tep", "relevant_object"])
+id_piece = st.sampled_from(["(id: 7)", "(ID=3)", "ıd 4", "İD:5", "( id : 9 )", "id", LONG_INT, "[27, 28]", " "])
+json_piece = st.sampled_from(['{"object_tag": "vase", "object_id": 0}', '{"object_id": "12"}', "{", "}", "\n"])
+reply_text = st.lists(
+    st.one_of(header, label, fold_piece, id_piece, json_piece, st.text(max_size=8)), max_size=30
+).map("".join)
+
+
+def parse_outcome(text, strict):
+    try:
+        return parse_response(text, strict=strict)
+    except UnparseableResponse as exc:
+        return ("unparseable", str(exc), exc.raw)
+
+
+@given(reply_text, st.booleans())
+@example("ſtep 1 ınferred_query: q step 2 relevant_objects: [1] STEP 4 fİnal answer {\"object_id\": 1}", False)
+@example("STEP1 - explanation: not a label of step 1\nSTEP5 - Explanation: done", False)
+@example("step 2 - relevant_objectstep 3: reason for relevance: r", False)
+@example("step 4: first {\"object_id\": 1}\nstep 4: second {\"object_id\": 2}\nstep2 [3]", True)
+@example("STEPK4: final answer {\"object_id\": 1}", False)
+def test_parse_matches_the_reference_split(text, strict):
+    """Every field, note and strict-mode error is what the reference
+    splitter gives."""
+    got = parse_outcome(text, strict)
+    with mock.patch.object(parsing, "_split_steps", reference_split_steps):
+        expected = parse_outcome(text, strict)
+    assert got == expected
+
+
+COUCH_PILLOW = parse_scene(
+    json.dumps(
+        [
+            {"id": 27, "bbox_extent": [0.7, 0.6, 0.3], "bbox_center": [2.9, 2.5, -0.8], "object_tag": "pillow"},
+            {"id": 28, "bbox_extent": [1.0, 0.9, 0.6], "bbox_center": [2.8, 2.3, -1.2], "object_tag": "white couch"},
+        ]
+    )
+)
+
+
+@given(st.lists(st.one_of(header, label, fold_piece, id_piece, st.text(max_size=8)), max_size=12).map("".join))
+@example("Step 4: is the pillow (id: 27) on top of the white couch (id: 28)?")
+@example("ſTEP-5 explanation: and STEP 2: [1, 2, 3]")
+def test_mock_echo_opens_no_step(text):
+    """The oracle's reply echoes the query into STEP1, and no step header
+    in the query opens a step of its own."""
+    query = StructuredQuery(QueryCategory.ON_TOP_OF, 27, 28, text)
+    parsed = parse_response(oracle_backed_mock(COUCH_PILLOW, query), strict=True)
+    assert parsed.final_object_id == 27 and parsed.relevant_object_ids == (27, 28)
+    echoed = parsed.inferred_query.replace("​", "")
+    assert echoed == (f"OnTopOf query: {text or '(no text)'}").strip().replace("​", "")
