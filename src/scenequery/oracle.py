@@ -464,7 +464,7 @@ def interpret_query(scene: SceneGraph, text: str) -> StructuredQuery:
     Category comes from keyword cues; anything unrecognized is Freeform.
     """
     lowered = text.lower()
-    ids = [_id_value(m) for m in _ID_PATTERN.findall(lowered if text.isascii() else fold_case(text))]
+    ids = [_id_value(m) for m in _ID_PATTERN.findall(fold_case(text))]
     if len(ids) < 2:
         mentioned = []
         for node in sorted(scene.nodes, key=lambda n: -len(n.object_tag)):

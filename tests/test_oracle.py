@@ -252,7 +252,7 @@ NO_NODES = SceneGraph(nodes=())
 id_query = st.lists(
     st.one_of(
         st.sampled_from(
-            ["id", "ID", "iD", "ıd", "İD", "(", ")", ":", "=", " ", "\xa0", "\x1c", "\u2028", "K", "ſ", "7", "42",
+            ["id", "ID", "iD", "ıd", "İD", "(", ")", ":", "=", " ", "\xa0", "\x1c", "\u2028", "\u212a", "ſ", "7", "42",
              "\u0663", "9" * 4301, "(id: 27)", "( ID = 28 )", "on top of"]
         ),
         st.text(max_size=6),

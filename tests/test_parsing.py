@@ -361,7 +361,7 @@ def reference_split_steps(text: str) -> dict[int, str]:
 
 # Each character as itself, upper-cased, or as a character re.IGNORECASE
 # matches to it.
-_CASE_VARIANTS = {"i": "iIıİ", "s": "sSſ", "k": "kKK"}
+_CASE_VARIANTS = {"i": "iIıİ", "s": "sSſ"}
 
 
 def cased(word: str):
@@ -373,9 +373,9 @@ header = st.builds(
     "".join,
     st.tuples(
         cased("step"),
-        st.sampled_from(["", " ", "-", " - ", "--", "\xa0", "\x1c", " ", "\n"]),
+        st.sampled_from(["", " ", "-", " - ", "--", "\xa0", "\x1c", "\u2028", "\n"]),
         st.sampled_from(["1", "2", "3", "4", "5", "0", "6", "12", "-5", "x"]),
-        st.sampled_from(["", ":", ".", "-", " - ", " :", " ", "\t"]),
+        st.sampled_from(["", ":", ".", "-", " - ", " :", "\u2028", "\t"]),
     ),
 )
 label = st.builds(
@@ -383,10 +383,12 @@ label = st.builds(
     st.tuples(
         st.sampled_from(["", " ", "\xa0", "\x1c", "\n"]),
         st.sampled_from(LABELS).flatmap(cased),
-        st.sampled_from(["", ":", " :", " :", "tep 3", "tep"]),
+        st.sampled_from(["", ":", " :", "\u2028:", "tep 3", "tep"]),
     ),
 )
-fold_piece = st.sampled_from(["ſ", "ı", "İ", "K", "\x1c", "\xa0", " ", "ß", "Σ", "ﬅ", "step", "tep", "relevant_object"])
+fold_piece = st.sampled_from(
+    ["ſ", "ı", "İ", "\u212a", "\x1c", "\xa0", "\u2028", "ß", "Σ", "ﬅ", "step", "tep", "relevant_object"]
+)
 id_piece = st.sampled_from(["(id: 7)", "(ID=3)", "ıd 4", "İD:5", "( id : 9 )", "id", LONG_INT, "[27, 28]", " "])
 json_piece = st.sampled_from(['{"object_tag": "vase", "object_id": 0}', '{"object_id": "12"}', "{", "}", "\n"])
 reply_text = st.lists(
@@ -406,7 +408,7 @@ def parse_outcome(text, strict):
 @example("STEP1 - explanation: not a label of step 1\nSTEP5 - Explanation: done", False)
 @example("step 2 - relevant_objectstep 3: reason for relevance: r", False)
 @example("step 4: first {\"object_id\": 1}\nstep 4: second {\"object_id\": 2}\nstep2 [3]", True)
-@example("STEPK4: final answer {\"object_id\": 1}", False)
+@example("STEP\u212a4: final answer {\"object_id\": 1}", False)
 def test_parse_matches_the_reference_split(text, strict):
     """Every field, note and strict-mode error is what the reference
     splitter gives."""
@@ -435,5 +437,5 @@ def test_mock_echo_opens_no_step(text):
     query = StructuredQuery(QueryCategory.ON_TOP_OF, 27, 28, text)
     parsed = parse_response(oracle_backed_mock(COUCH_PILLOW, query), strict=True)
     assert parsed.final_object_id == 27 and parsed.relevant_object_ids == (27, 28)
-    echoed = parsed.inferred_query.replace("​", "")
-    assert echoed == (f"OnTopOf query: {text or '(no text)'}").strip().replace("​", "")
+    echoed = parsed.inferred_query.replace("\u200b", "")
+    assert echoed == f"OnTopOf query: {text or '(no text)'}".strip().replace("\u200b", "")
