@@ -13,11 +13,10 @@ import functools
 import json
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import llm as llm_mod
 from .oracle import (
@@ -376,8 +375,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     """One query taken through the pipeline.
 
     `parsed` is None when the reply could not be parsed, and `error`
@@ -471,6 +469,10 @@ def run_eval(
     width = min(width, len(jobs))
     if width <= 1:
         return EvalReport(records=tuple(map(record, jobs)))
+    # Imported here, so that a process that never runs a pool loads
+    # neither concurrent.futures nor the logging it imports.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=width) as pool:
         return EvalReport(records=tuple(pool.map(record, jobs)))
 

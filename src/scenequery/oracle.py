@@ -9,7 +9,12 @@ queries need world knowledge and are declared out of the oracle's reach.
 query and words the answer: the STEP4 sentence, the final object and the
 explanation that `llm.oracle_backed_mock` lays out as a five-step reply.
 Objects are referred to as `tag (id: N)` (`object_ref`), the form
-`interpret_query` reads back.
+`interpret_query` reads back; it folds the query once, and an ASCII query
+folds to its lowered text. A decidable query that names an id the scene
+lacks, or fewer than two objects, is answered as unsupported, with that
+reason. The value records (`StructuredQuery`, `OracleAnswer`,
+`SizeComparison`, `RelativePosition`) are NamedTuples; the validated
+`OracleConfig` stays a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .parsing import fold_case
 from .scene_model import MAX_COORDINATE, ObjectNode, SceneGraph, Vec3
@@ -89,30 +94,26 @@ class OracleConfig:
             raise ValueError("similar_volume_ratio must be >= 1")
 
 
-@dataclass(frozen=True)
-class SizeComparison:
+class SizeComparison(NamedTuple):
     ordering: SizeOrdering
     volume_ratio: float  # volume(a) / volume(b); 1.0 for the degenerate fallback
 
 
-@dataclass(frozen=True)
-class RelativePosition:
+class RelativePosition(NamedTuple):
     delta: Vec3  # center(a) - center(b)
     directions: tuple[str, ...]  # one phrase per axis on which a and b differ
     near: bool
     distance: float
 
 
-@dataclass(frozen=True)
-class StructuredQuery:
+class StructuredQuery(NamedTuple):
     category: QueryCategory
     subject_id: Optional[int] = None
     object_id: Optional[int] = None
     text: str = ""
 
 
-@dataclass(frozen=True)
-class OracleAnswer:
+class OracleAnswer(NamedTuple):
     """A decided query (`supported`) carries the STEP4 sentence and the
     final object; an unsupported one only says why in `sentence` and
     `explanation`."""
@@ -182,6 +183,11 @@ def _rests_on(a: Box, b: Box, tolerance: float) -> bool:
     return _snap(abs(a[4] - b[5])) <= tolerance
 
 
+def _box_on_top_of(a: Box, b: Box, tolerance: float) -> bool:
+    """`on_top_of` on the two nodes' boxes."""
+    return _footprints_overlap(a, b) and _rise(a, b) > 0 and _rests_on(a, b, tolerance)
+
+
 # Per axis (x, y, z): the phrase for a positive and for a negative delta.
 _AXIS_PHRASES = (
     ("in the positive x direction from", "in the negative x direction from"),
@@ -210,12 +216,7 @@ def on_top_of(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig()) 
     and a's bottom face within the gap tolerance of b's top face."""
     if a.id == b.id:
         raise ValueError(f"on_top_of requires distinct nodes, got id {a.id} twice")
-    box_a, box_b = _box(a), _box(b)
-    return (
-        _footprints_overlap(box_a, box_b)
-        and _rise(box_a, box_b) > 0
-        and _rests_on(box_a, box_b, cfg.vertical_gap_tolerance)
-    )
+    return _box_on_top_of(_box(a), _box(b), cfg.vertical_gap_tolerance)
 
 
 def size_compare(a: ObjectNode, b: ObjectNode, cfg: OracleConfig = OracleConfig()) -> SizeComparison:
@@ -367,7 +368,8 @@ def derive_edges(scene: SceneGraph, cfg: OracleConfig = OracleConfig()) -> list[
 
 
 def _fmt_vec(v: Vec3) -> str:
-    return "[" + ", ".join(f"{c:g}" for c in v) + "]"
+    """The vector as "[x, y, z]", each number in %g form."""
+    return "[%g, %g, %g]" % v
 
 
 def _unsupported(reason: str) -> OracleAnswer:
@@ -379,23 +381,30 @@ def answer_query_deterministic(
 ) -> OracleAnswer:
     """Decide a structured query and word the answer.
 
-    Affordance/negation/freeform queries, and queries naming an id that
-    is not in the scene, come back with supported=False rather than an
-    error; the caller decides whether to fall back to an LLM for those.
+    Affordance/negation/freeform queries, queries naming an id that is
+    not in the scene and queries naming fewer than two objects come back
+    with supported=False rather than an error; the caller decides whether
+    to fall back to an LLM for those. An absent id is the reason given
+    when a query has both faults.
     """
     if q.category not in DECIDABLE_CATEGORIES:
         return _unsupported("requires world knowledge beyond box geometry")
-    if not (scene.has_node(q.subject_id) and scene.has_node(q.object_id)):
+    subject_id, object_id = q.subject_id, q.object_id
+    if not (scene.has_node(subject_id) and scene.has_node(object_id)):
+        named = [i for i in (subject_id, object_id) if i is not None]
+        if all(map(scene.has_node, named)):
+            return _unsupported("the query names fewer than two objects of the scene")
         return _unsupported("query references objects not in the scene")
 
-    a, b = scene.node(q.subject_id), scene.node(q.object_id)
+    a, b = scene.node(subject_id), scene.node(object_id)
     ref_a, ref_b = object_ref(a), object_ref(b)
     final = a
     if q.category is QueryCategory.ON_TOP_OF:
+        box_a, box_b = _box(a), _box(b)
         # A node never rests on itself.
-        yes = a.id != b.id and on_top_of(a, b, cfg)
+        yes = a.id != b.id and _box_on_top_of(box_a, box_b, cfg.vertical_gap_tolerance)
         sentence = f"{'Yes' if yes else 'No'}, the {ref_a} {'is' if yes else 'is not'} on top of the {ref_b}."
-        gap = abs(_box(a)[4] - _box(b)[5])
+        gap = abs(box_a[4] - box_b[5])
         explanation = (
             f"{ref_a} center {_fmt_vec(a.bbox_center)} vs {ref_b} center {_fmt_vec(b.bbox_center)}; "
             f"vertical gap {gap:.3g}"
@@ -464,7 +473,8 @@ def interpret_query(scene: SceneGraph, text: str) -> StructuredQuery:
     Category comes from keyword cues; anything unrecognized is Freeform.
     """
     lowered = text.lower()
-    ids = [_id_value(m) for m in _ID_PATTERN.findall(fold_case(text))]
+    # An ASCII text folds to its lowered form.
+    ids = [_id_value(m) for m in _ID_PATTERN.findall(lowered if text.isascii() else fold_case(text))]
     if len(ids) < 2:
         mentioned = []
         for node in sorted(scene.nodes, key=lambda n: -len(n.object_tag)):

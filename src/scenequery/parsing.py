@@ -9,15 +9,17 @@ Step headers and their labels match case-insensitively, as
 `re.IGNORECASE` matches them: U+0130 and U+0131 count as "i" and U+017F
 as "s". The text is folded once (`fold_case`) and scanned with
 case-sensitive patterns; every field is sliced from the original text.
+
+`ParsedResponse` and `GroundingIssue` are NamedTuples: immutable, cheap to
+build, and equal to the tuple of their fields.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Optional
+from typing import Collection, NamedTuple, Optional
 
 from .scene_model import SceneGraph
 
@@ -31,8 +33,7 @@ class IssueKind(str, Enum):
     MALFORMED_JSON = "MalformedJson"
 
 
-@dataclass(frozen=True)
-class GroundingIssue:
+class GroundingIssue(NamedTuple):
     kind: IssueKind
     detail: str
     step: int = 0
@@ -49,8 +50,7 @@ class UnparseableResponse(ValueError):
         super().__init__(reason)
 
 
-@dataclass(frozen=True)
-class ParsedResponse:
+class ParsedResponse(NamedTuple):
     inferred_query: str
     relevant_object_ids: tuple[int, ...]
     relevance_reason: str

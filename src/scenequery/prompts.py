@@ -20,9 +20,11 @@ prompt on that scene: by all of `run_eval`'s queries on it, and by the
 three forms compaction tries (scene_model.FORMS): the full scene, the
 scene without captions, and the scene without captions, colors and
 materials. Compaction fit-checks each form by the length the scene keeps
-with its encodings, so only the form that is sent becomes node JSON.
-Pruning tracks that form's length by subtraction, so it never
-re-serializes.
+with its encodings, so only the form that is sent becomes node JSON. A
+form that fits is sent as the joined array and node ids the scene keeps,
+so a scene within budget costs no join and no id walk per prompt.
+Pruning tracks the last form's length by subtraction, so it never
+re-serializes. A `PromptBundle` is a NamedTuple.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from itertools import compress
+from typing import NamedTuple
 
-from .scene_model import FORMS, SceneGraph, encoded_nodes, serialize_scene, serialized_length
+from .scene_model import FORMS, SceneGraph, encoded_nodes, node_ids, serialize_scene, serialized_length
 
 DEFAULT_TOKEN_BUDGET = 16000
 
@@ -53,8 +55,7 @@ class BudgetInfeasible(ValueError):
         super().__init__(f"prompt exceeds token budget by {overflow_tokens} tokens after maximal compaction")
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     system_text: str
     token_estimate: int
     included_node_ids: tuple[int, ...]
@@ -129,7 +130,7 @@ def compact_scene(
     for actions, omit in _FORMS:
         length = serialized_length(scene, omit)
         if overflow(length) <= 0:
-            return tuple(n.id for n in nodes), list(actions), serialize_scene(scene, omit)
+            return node_ids(scene), list(actions), serialize_scene(scene, omit)
 
     # Prune from the last form. Recorded for the canonical order;
     # serialization already rounds to one decimal, so this step changes no

@@ -16,8 +16,9 @@ json.dumps would, in one of the three forms a prompt sends (FORMS): the
 full scene, the scene without captions, and the scene without captions,
 colors and materials. A scene encodes each node once, on its first
 serialization, into the pieces those forms are joined from, and keeps the
-pieces, each form's length and each form's node JSON for every later
-call, so the length of a form is known without building it.
+pieces, each form's length, each form's node JSON and joined array, and
+the node ids in node order for every later call: the length of a form is
+known without building it, and a form is joined once per scene.
 """
 
 from __future__ import annotations
@@ -296,12 +297,14 @@ def _encode_node(node: ObjectNode) -> tuple[str, str, str, str]:
 
 
 class _Encoding:
-    """A scene's nodes, each encoded once by `_encode_node`; the length of
-    each form's array; and each form's node objects, built on first use."""
+    """A scene's node ids in node order; its nodes, each encoded once by
+    `_encode_node`; the length of each form's array; and each form's node
+    objects and joined array, each built on first use."""
 
-    __slots__ = ("pieces", "lengths", "forms")
+    __slots__ = ("ids", "pieces", "lengths", "forms", "texts")
 
     def __init__(self, nodes: tuple[ObjectNode, ...]):
+        self.ids = tuple([n.id for n in nodes])
         self.pieces = pieces = [_encode_node(n) for n in nodes]
         # In the array each object adds its length + 2: a ", " after all
         # but the last, whose 2 pay for the brackets. An empty array is "[]".
@@ -310,6 +313,21 @@ class _Encoding:
         attributes = sum(len(p[2]) for p in pieces)
         self.lengths = tuple(max(n, 2) for n in (core + caption + attributes, core + attributes, core))
         self.forms: list[tuple[str, ...] | None] = [None] * len(FORMS)
+        self.texts: list[str | None] = [None] * len(FORMS)
+
+    def nodes_of(self, form: int) -> tuple[str, ...]:
+        """Each node's object in FORMS[form]."""
+        out = self.forms[form]
+        if out is None:
+            out = self.forms[form] = _form_nodes(self.pieces, form)
+        return out
+
+    def text_of(self, form: int) -> str:
+        """The JSON array of FORMS[form]."""
+        text = self.texts[form]
+        if text is None:
+            text = self.texts[form] = "[" + ", ".join(self.nodes_of(form)) + "]"
+        return text
 
 
 def _form_nodes(pieces: list[tuple[str, str, str, str]], form: int) -> tuple[str, ...]:
@@ -321,6 +339,15 @@ def _form_nodes(pieces: list[tuple[str, str, str, str]], form: int) -> tuple[str
     return tuple(["{" + c + x + "}" for c, _, _, x in pieces])
 
 
+def _scene_encoding(scene: SceneGraph) -> _Encoding:
+    """The scene's encoding, built on first use."""
+    encoding = scene._encoding
+    if encoding is None:
+        encoding = _Encoding(scene.nodes)
+        object.__setattr__(scene, "_encoding", encoding)
+    return encoding
+
+
 def _encoding_and_form(scene: SceneGraph, omit: Iterable[str]) -> tuple[_Encoding, int]:
     """The scene's encoding, built on first use, and the index in FORMS of
     `omit`."""
@@ -329,11 +356,7 @@ def _encoding_and_form(scene: SceneGraph, omit: Iterable[str]) -> tuple[_Encodin
         form = FORMS.index(omit)
     except ValueError:
         raise ValueError(f"omit must be one of FORMS, {[sorted(f) for f in FORMS]}; got {sorted(omit)}") from None
-    encoding = scene._encoding
-    if encoding is None:
-        encoding = _Encoding(scene.nodes)
-        object.__setattr__(scene, "_encoding", encoding)
-    return encoding, form
+    return _scene_encoding(scene), form
 
 
 def encoded_nodes(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> tuple[str, ...]:
@@ -342,10 +365,7 @@ def encoded_nodes(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> tuple
     array. Each node is encoded once per scene, and each form is built
     once per scene."""
     encoding, form = _encoding_and_form(scene, omit)
-    out = encoding.forms[form]
-    if out is None:
-        out = encoding.forms[form] = _form_nodes(encoding.pieces, form)
-    return out
+    return encoding.nodes_of(form)
 
 
 def serialized_length(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> int:
@@ -358,8 +378,15 @@ def serialized_length(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> i
 def serialize_scene(scene: SceneGraph, omit: Iterable[str] = frozenset()) -> str:
     """The canonical JSON array in the form that leaves out the fields in
     `omit`, one of FORMS: the bytes json.dumps writes for the node objects,
-    box numbers at one decimal."""
-    return "[" + ", ".join(encoded_nodes(scene, omit)) + "]"
+    box numbers at one decimal. Joined once per scene and form, and kept
+    with the scene's encoding."""
+    encoding, form = _encoding_and_form(scene, omit)
+    return encoding.text_of(form)
+
+
+def node_ids(scene: SceneGraph) -> tuple[int, ...]:
+    """The ids of the scene's nodes in node order, kept with its encoding."""
+    return _scene_encoding(scene).ids
 
 
 def scene_issues(json_text: str) -> tuple[int, list[SceneError]]:

@@ -296,6 +296,14 @@ class TestAsk:
         assert got.out == expected.out.replace(absent, overlong)
         assert got.err == expected.err == ""
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_query_naming_one_object(self, couch_pillow_file, capsys, fmt):
+        # Only the couch is named: there is nothing to test it against.
+        assert main(fmt + ["ask", couch_pillow_file, "What is on top of the white couch?"]) == 0
+        out = capsys.readouterr().out
+        assert "the query names fewer than two objects of the scene" in out
+        assert "not in the scene" not in out
+
     def test_mock_garbage_exits_3(self, couch_pillow_file, tmp_path):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(["garbage with no steps"]), encoding="utf-8")
@@ -916,6 +924,20 @@ def test_import_leaves_requests_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, scenequery.cli; sys.exit('requests' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # Only run_eval's pool branch needs concurrent.futures, which loads
+    # logging and queue with it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, scenequery.cli, scenequery.evalharness\n"
+        "sys.exit(sorted({'concurrent.futures', 'logging'} & set(sys.modules)) or None)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class ClosedStdout:

@@ -14,6 +14,7 @@ from scenequery.oracle import (
     SizeOrdering,
     SpatialRelation,
     StructuredQuery,
+    _fmt_vec,
     _footprints_overlap,
     _id_value,
     answer_query_deterministic,
@@ -210,6 +211,29 @@ class TestAnswerQuery:
         assert ans.object_id is None
 
     @pytest.mark.parametrize("category", sorted(DECIDABLE_CATEGORIES))
+    @pytest.mark.parametrize("subject, obj", [(28, None), (None, 27), (None, None)])
+    def test_fewer_than_two_objects(self, couch_pillow_scene, category, subject, obj):
+        ans = answer_query_deterministic(couch_pillow_scene, StructuredQuery(category, subject, obj))
+        assert not ans.supported
+        assert ans.explanation == "the query names fewer than two objects of the scene"
+        assert ans.sentence == (
+            "The question cannot be answered from box geometry alone; "
+            "the query names fewer than two objects of the scene."
+        )
+        assert ans.object_id is None
+
+    @pytest.mark.parametrize("subject, obj", [(99, None), (None, 99), (99, 98)])
+    def test_absent_id_outranks_a_missing_object(self, couch_pillow_scene, subject, obj):
+        ans = answer_query_deterministic(couch_pillow_scene, StructuredQuery(QueryCategory.ON_TOP_OF, subject, obj))
+        assert ans.explanation == "query references objects not in the scene"
+
+    def test_query_naming_one_object(self, couch_pillow_scene):
+        q = interpret_query(couch_pillow_scene, "What is on top of the white couch?")
+        assert (q.category, q.subject_id, q.object_id) == (QueryCategory.ON_TOP_OF, 28, None)
+        ans = answer_query_deterministic(couch_pillow_scene, q)
+        assert ans.explanation == "the query names fewer than two objects of the scene"
+
+    @pytest.mark.parametrize("category", sorted(DECIDABLE_CATEGORIES))
     def test_same_node_twice(self, couch_pillow_scene, category):
         ans = answer_query_deterministic(couch_pillow_scene, StructuredQuery(category, 27, 27))
         assert ans.supported and ans.object_id == 27
@@ -273,6 +297,22 @@ def test_query_ids_match_the_reference_pattern(text):
 
 
 # --- properties -----------------------------------------------------------
+
+vector_component = st.one_of(
+    st.floats(-1e9, 1e9),
+    # %g writes an exponent below 1e-4 (so at 1e-5) and from 1e6 once
+    # rounded to six digits; 1e16 is where float repr starts one.
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-5, 9.99995e-5, 0.0001, 0.000099999, 999999.5, 1e6, 1e16]),
+    st.integers(-30, 30).map(lambda e: float(f"1e{e}")),
+)
+
+
+@given(st.tuples(vector_component, vector_component, vector_component))
+@example((-0.0, 5e-324, 1e16))
+@example((1e-5, 9.999995e-5, 123456789.0))
+def test_fmt_vec_matches_per_component_format(v):
+    assert _fmt_vec(Vec3(*v)) == "[" + ", ".join(f"{c:g}" for c in v) + "]"
+
 
 grid_coord = st.integers(min_value=-50, max_value=50).map(lambda n: n / 10)
 grid_extent = st.integers(min_value=0, max_value=30).map(lambda n: n / 10)

@@ -215,6 +215,15 @@ class TestCompactScene:
         assert kept == build_prompt(scene, query, budget).included_node_ids
         assert list(kept) == [n.id for n in scene.nodes if n.id in kept]
 
+    def test_fitting_scene_keeps_every_id_in_node_order(self):
+        # Ids descending along the node list, so node order is not id order.
+        scene = SceneGraph(nodes=big_scene(node_count=40).nodes[::-1])
+        expected = tuple(n.id for n in scene.nodes)
+        for query in ("where is the red vase", "and the lamp?"):
+            bundle = build_prompt(scene, query, budget=10**6)
+            assert bundle.compaction_report == ()
+            assert bundle.included_node_ids == expected
+
     def test_monotone_token_estimate(self):
         scene = big_scene(node_count=40)
         overhead = 300
@@ -454,6 +463,37 @@ def test_form_lengths_match_serialization(scene):
     lengths = [serialized_length(scene, omit) for _, omit in _FORMS]
     assert lengths == [len(serialize_scene(scene, omit)) for _, omit in _FORMS]
     assert [serialized_length(scene, omit) for _, omit in _FORMS] == lengths
+
+
+@given(scenes())
+@example(EMPTY)
+@example(ONE)
+@example(NON_ASCII)
+def test_repeated_serialization_is_equal(scene):
+    """Each form's text is joined once and kept with the scene: later
+    calls give the same text, which a cold copy of the scene gives too."""
+    first = [serialize_scene(scene, omit) for _, omit in _FORMS]
+    assert [serialize_scene(scene, omit) for _, omit in _FORMS] == first
+    assert [serialize_scene(SceneGraph(nodes=scene.nodes), omit) for _, omit in _FORMS] == first
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data(), scenes(), st.floats(0, 1, exclude_max=True))
+@example(None, EMPTY, 0.0)
+@example(None, ONE, 0.5)
+@example(None, NON_ASCII, 0.9)
+def test_warm_scene_prompts_equal_fresh_parse(data, scene, pick):
+    """Prompts on a scene that has served prompts before, and so keeps its
+    joined forms and ids, equal prompts on a fresh parse of the same JSON,
+    at a budget that fits and at one that prunes."""
+    query = data.draw(queries(scene)) if data is not None else "where is the café table?"
+    scene = SceneGraph(nodes=tuple(n._replace(bbox_extent=Vec3(*map(abs, n.bbox_extent))) for n in scene.nodes))
+    text = serialize_scene(scene)
+    warm = parse_scene(text)
+    budgets = [budget_for(stop, warm, query, pick) for stop in ("fits", "captions", "attributes", "mid_prune")]
+    for _ in range(2):
+        for budget in budgets:
+            assert outcome(build_prompt, warm, query, budget) == outcome(build_prompt, parse_scene(text), query, budget)
 
 
 def captioned_scene():
