@@ -76,16 +76,22 @@ class LlmConfig:
         return (os.environ.get(API_URL_ENV) or self.base_url or DEFAULT_BASE_URL).rstrip("/")
 
 
-DEFAULT_MAX_IN_FLIGHT = 8
+# The smallest power of two above the 12 or 13 queries of a default
+# (10-node Mixed) eval scene, so all of a scene's requests are in flight
+# at once and a scene costs one round trip, not two.
+DEFAULT_MAX_IN_FLIGHT = 16
 
 
 class Backend(Protocol):
     """Turns a system prompt and a user message into a raw reply.
 
     `complete` may be called from up to `getattr(backend, "max_in_flight",
-    DEFAULT_MAX_IN_FLIGHT)` threads at once. A backend whose replies
-    depend on call order, or that only computes under the interpreter
-    lock, sets `max_in_flight = 1`.
+    DEFAULT_MAX_IN_FLIGHT)` threads at once (16 by default), so an endpoint
+    may see that many requests at once; `HttpBackend` retries a 429 after
+    its Retry-After. A backend that must stay narrower, such as one behind
+    a tight rate limit, sets a lower `max_in_flight`. A backend whose
+    replies depend on call order, or that only computes under the
+    interpreter lock, sets `max_in_flight = 1`.
     """
 
     def complete(self, system_text: str, user_text: str) -> str: ...

@@ -60,9 +60,6 @@ class Vec3(NamedTuple):
     y: float
     z: float
 
-    def __add__(self, other):  # type: ignore[override]
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def __sub__(self, other):
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 

@@ -139,7 +139,8 @@ def test_criterion_4_brute_force_equivalence():
             offset = Vec3(rng.uniform(-30, 30), rng.uniform(-30, 30), rng.uniform(-30, 30))
             moved = SceneGraph(
                 nodes=tuple(
-                    ObjectNode(n.id, n.bbox_extent, n.bbox_center + offset, n.object_tag) for n in nodes
+                    ObjectNode(n.id, n.bbox_extent, Vec3(*(c + d for c, d in zip(n.bbox_center, offset))), n.object_tag)
+                    for n in nodes
                 )
             )
             assert derive_edges(moved, cfg) == edges

@@ -3,6 +3,9 @@ under several threads. Every wait here has a timeout, so a run that
 should overlap calls but does not fails instead of hanging."""
 
 import collections
+import http.server
+import json
+import os
 import sys
 import threading
 import time
@@ -11,8 +14,12 @@ import zlib
 import pytest
 import requests
 
+from scenequery.cli import main
 from scenequery.evalharness import Layout, SceneRecipe, generate_queries, generate_scene, run_eval
 from scenequery.llm import (
+    API_KEY_ENV,
+    API_URL_ENV,
+    DEFAULT_MAX_IN_FLIGHT,
     HttpBackend,
     LlmConfig,
     LlmError,
@@ -107,8 +114,9 @@ class PromptRecorder:
 
 
 def test_concurrent_prompts_on_cold_scenes_equal_sequential():
-    """Up to 8 threads build prompts on scenes none has serialized yet, so
-    they race to fill each scene's serialization cache."""
+    """Up to `DEFAULT_MAX_IN_FLIGHT` threads build prompts on scenes none
+    has serialized yet, so they race to fill each scene's serialization
+    cache."""
     sequential = PromptRecorder()
     run_eval(tasks_for(range(4)), backend=OneAtATime(sequential))
     concurrent = PromptRecorder()
@@ -190,7 +198,7 @@ class SlowUnlessFirst:
 
 
 class TestWidth:
-    @pytest.mark.parametrize("declared, expected", [(3, 3), (None, 8)])
+    @pytest.mark.parametrize("declared, expected", [(3, 3), (None, DEFAULT_MAX_IN_FLIGHT)])
     def test_calls_overlap_up_to_the_backend_width(self, declared, expected):
         tasks = tasks_for(range(3))
         backend = CountingBackend(expected)
@@ -199,6 +207,16 @@ class TestWidth:
         report = run_eval(tasks, backend=backend)
         assert backend.calls == len(report.records) == len(query_texts(tasks))
         assert backend.peak == expected
+
+    def test_every_query_of_a_default_scene_is_in_flight_at_once(self):
+        """A 10-node Mixed scene, the kind `eval` makes by default, asks up to
+        13 questions. A backend that declares no width gets them all at once,
+        so the scene costs one round trip."""
+        tasks = tasks_for([0])
+        count = len(query_texts(tasks))
+        backend = CountingBackend(count)
+        run_eval(tasks, backend=backend)
+        assert backend.calls == backend.peak == count == 13
 
     def test_sequential_backends_are_called_on_the_callers_thread(self, monkeypatch):
         threads = []
@@ -381,5 +399,62 @@ class TestFaultInjectingSession:
         for thread, session in used:
             assert sessions.setdefault(thread, session) is session
         assert len(used) == len(query_texts(tasks))
-        assert 2 <= len(sessions) <= 8
+        assert 2 <= len(sessions) <= DEFAULT_MAX_IN_FLIGHT
         assert len(made) == len({id(s) for s in sessions.values()}) == len(sessions)
+
+
+class LoopbackServer(http.server.ThreadingHTTPServer):
+    # The default backlog of 5 drops some of a burst of connects, and each
+    # dropped one waits out the kernel's 1 s SYN retry.
+    request_queue_size = 64
+
+
+class TestLiveOverLoopback:
+    def test_eval_sends_a_scene_at_once_and_reports_as_the_oracle(self, monkeypatch, tmp_path):
+        """`eval --backend live` against a real HTTP server on 127.0.0.1.
+        The server holds each request until all of the scene's requests have
+        arrived, then replies with the oracle's text."""
+        tasks = tasks_for([0])
+        oracle = SceneOracle(tasks)
+        barrier = threading.Barrier(len(query_texts(tasks)), timeout=WAIT_S)
+        lock = threading.Lock()
+        seen = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with lock:
+                    seen.append((self.path, self.headers["Authorization"]))
+                barrier.wait()
+                content = oracle.reply(*(m["content"] for m in body["messages"]))
+                reply = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
+
+            def log_message(self, format, *args):
+                pass
+
+        server = LoopbackServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            for name in list(os.environ):
+                if name.lower().endswith("_proxy"):
+                    monkeypatch.delenv(name)
+            monkeypatch.setenv(API_URL_ENV, f"http://127.0.0.1:{server.server_address[1]}/v1")
+            monkeypatch.setenv(API_KEY_ENV, "k")
+            monkeypatch.chdir(tmp_path)
+            argv = ["eval", "--scenes", "1", "--seed", "0", "--out"]
+            assert main([*argv, "live", "--backend", "live"]) == 0
+            assert main([*argv, "oracle", "--backend", "oracle"]) == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(WAIT_S)
+        assert not thread.is_alive()
+        assert seen == [("/v1/chat/completions", "Bearer k")] * len(query_texts(tasks))
+        for name in ("report.json", "report.txt", "records.jsonl"):
+            assert (tmp_path / "live" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()

@@ -444,7 +444,7 @@ def boundary_scenes(draw):
             dy = draw(st.sampled_from([0, 0.05, t, 0.8 * t, (by + ext.y) / 2]))
             dz = draw(st.sampled_from([0, t, (bz + ext.z) / 2, (bz + ext.z) / 2 + tol]))
             signs = draw(st.tuples(*[st.sampled_from([-1, 1])] * 3))
-            centre = base.bbox_center + Vec3(signs[0] * dx, signs[1] * dy, signs[2] * dz)
+            centre = Vec3(*(c + s * d for c, s, d in zip(base.bbox_center, signs, (dx, dy, dz))))
         nodes.append(ObjectNode(i, ext, centre, f"obj{i}"))
     shift = draw(st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-1e4, 1e4)] * 3)))
     return translated(SceneGraph(nodes=tuple(nodes)), Vec3(*shift)), cfg
@@ -723,7 +723,8 @@ def test_box_face_at_infinity():
 def translated(scene: SceneGraph, offset: Vec3) -> SceneGraph:
     return SceneGraph(
         nodes=tuple(
-            ObjectNode(n.id, n.bbox_extent, n.bbox_center + offset, n.object_tag) for n in scene.nodes
+            ObjectNode(n.id, n.bbox_extent, Vec3(*(c + d for c, d in zip(n.bbox_center, offset))), n.object_tag)
+            for n in scene.nodes
         )
     )
 
